@@ -58,7 +58,6 @@ from hyperspec.tensors import (
     lift_real,
     nqz_power_iteration,
     rotate_signless_to_laplacian,
-    tensor_apply,
     verify_diagonal_similarity,
 )
 from hyperspec.gauge import (
@@ -111,7 +110,6 @@ __all__ = [
     "lift_real",
     "nqz_power_iteration",
     "rotate_signless_to_laplacian",
-    "tensor_apply",
     "verify_diagonal_similarity",
     "ModularSystem",
     "build_similarity_system",

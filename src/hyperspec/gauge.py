@@ -24,9 +24,6 @@ __all__ = [
     "certificate_report",
 ]
 
-SIMILARITY_TARGETS = ("laplacian-signless", "adjacency-negation")
-
-
 @dataclass(frozen=True)
 class ModularSystem:
     """Linear congruences sum_j coeff_j * theta_j = rhs (mod modulus).
@@ -65,17 +62,13 @@ class ModularSystem:
         return True
 
 
-def build_similarity_system(
-    h: Hypergraph, m: int, target: str = "laplacian-signless"
-) -> ModularSystem:
+def build_similarity_system(h: Hypergraph, m: int) -> ModularSystem:
     """Congruence system whose solutions are exact similarity certificates.
 
-    Both targets (Laplacian vs signless, adjacency vs its negation) impose the
-    same edgewise sign flip, hence produce identical systems; the offset is
+    One system serves both similarities (Laplacian to signless, adjacency to
+    its negation): each imposes the same edgewise sign flip.  The offset is
     m/2, so the modulus must be even.
     """
-    if target not in SIMILARITY_TARGETS:
-        raise ValueError(f"unknown similarity target {target!r}")
     if m < 2 or m % 2:
         raise ValueError("the similarity offset m/2 needs an even modulus")
     if h.k % 2:

@@ -34,7 +34,6 @@ class Hypergraph:
         vertex_count: int,
         k: int,
         edges: Iterable[Sequence[int]] = (),
-        labels: Sequence[str] | None = None,
     ):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
@@ -59,9 +58,6 @@ class Hypergraph:
         self.vertex_count = vertex_count
         self.k = k
         self.edges: tuple[tuple[int, ...], ...] = tuple(sorted(canon))
-        if labels is not None and len(labels) != vertex_count:
-            raise ValueError("labels must cover every vertex")
-        self.labels = tuple(labels) if labels is not None else None
         self._degrees = [0] * vertex_count
         for members in self.edges:
             for v in members:
@@ -131,20 +127,9 @@ class HalfEdgeMap:
     half_edges: tuple[tuple[int, ...], ...]
     edge_vertices: tuple[tuple[int, ...], ...]
 
-    def anchor(self, u: int) -> int:
-        return self.half_edges[u][0]
-
     @property
     def anchors(self) -> tuple[int, ...]:
         return tuple(members[0] for members in self.half_edges)
-
-    def base_of(self) -> dict[int, int]:
-        """Map every blown-up vertex back to its base vertex."""
-        out: dict[int, int] = {}
-        for u, members in enumerate(self.half_edges):
-            for v in members:
-                out[v] = u
-        return out
 
 
 def generalized_power(g: LoopedGraph, k: int, s: int) -> tuple[Hypergraph, HalfEdgeMap]:
@@ -268,8 +253,12 @@ def from_json_dict(payload: dict) -> tuple[Hypergraph, HalfEdgeMap | None]:
     halfmap = None
     if "half_edges" in payload:
         raw = payload["half_edges"]
+        if not isinstance(raw, dict) or set(raw) != {str(u) for u in range(len(raw))}:
+            raise ValueError("half_edges keys must be the base vertices 0..len-1")
         half_edges = tuple(
             tuple(int(v) for v in raw[str(u)]) for u in range(len(raw))
         )
+        if any(not 0 <= v < h.vertex_count for members in half_edges for v in members):
+            raise ValueError(f"half-edge vertices must lie in [0, {h.vertex_count})")
         halfmap = HalfEdgeMap(half_edges, ())
     return h, halfmap

@@ -21,6 +21,7 @@ __all__ = [
     "SpectrumSet",
     "eig_real_symmetric",
     "eig_complex_pairs",
+    "eig_complex_stack",
     "eig_complex_dense",
     "spectral_radius",
     "power_iteration_nonneg",
@@ -35,6 +36,10 @@ BACKWARD_ERROR_TOL = 1e-9
 
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its budget before meeting its tolerance."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -122,35 +127,67 @@ def _refine_pair(
     return best_vec, best_res
 
 
+def eig_complex_stack(
+    ms: np.ndarray, cap: int = COMPLEX_CAP
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified eigenpairs of a stack of general complex matrices.
+
+    Returns ``(values, vectors, residuals)`` of shapes (N, n), (N, n, n) and
+    (N, n): each row of values sorted by (real, imag), column j of
+    ``vectors[i]`` the max-norm-1 eigenvector of ``values[i, j]``, and its
+    residual relative to the matrix norm.  Pairs above 1e-9 get
+    inverse-iteration refinement; a pair still above raises ConvergenceError
+    whose ``index`` is the position of its matrix in the stack.
+    """
+    ms = np.asarray(ms, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise ValueError("expected square matrices")
+    n = ms.shape[1]
+    if n > cap:
+        raise ValueError(f"matrix dimension {n} exceeds cap {cap}")
+    if not np.all(np.isfinite(ms)):
+        raise ValueError("matrix entries must be finite")
+    values, vectors = np.linalg.eig(ms)
+    if n == 0:
+        return values, vectors, np.zeros(values.shape)
+    # lexsort is stable, so equal keys keep LAPACK's order as sorted() would
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
+    # divide each column by its largest-modulus entry, which becomes exactly 1
+    rows = np.argmax(np.abs(vectors), axis=1)
+    pivots = np.take_along_axis(vectors, rows[:, None, :], axis=1)
+    if np.any(pivots == 0):
+        raise ValueError("cannot normalize the zero vector")
+    vectors = vectors / pivots
+    scale = np.maximum(1.0, np.max(np.sum(np.abs(ms), axis=2), axis=1))
+    gaps = ms @ vectors - vectors * values[:, None, :]
+    residuals = np.max(np.abs(gaps), axis=1) / scale[:, None]
+    for i, j in np.argwhere(residuals > BACKWARD_ERROR_TOL):
+        vec, res = _refine_pair(
+            ms[i], complex(values[i, j]), vectors[i, :, j], sweeps=100 * n
+        )
+        if res > BACKWARD_ERROR_TOL:
+            raise ConvergenceError(
+                f"complex eigenpair residual {res:.3e} exceeds 1e-9", index=int(i)
+            )
+        vectors[i, :, j] = vec
+        residuals[i, j] = res
+    return values, vectors, residuals
+
+
 def eig_complex_pairs(m: np.ndarray, cap: int = COMPLEX_CAP) -> list[EigenPair]:
     """All eigenpairs of a general complex matrix, sorted by (real, imag).
 
-    Each pair carries a certified residual below 1e-9 relative to the matrix
-    norm; pairs failing that after inverse-iteration refinement raise
-    ConvergenceError.
+    The one-matrix case of :func:`eig_complex_stack`: each pair carries a
+    certified residual below 1e-9 relative to the matrix norm.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = m.shape[0]
-    if n > cap:
-        raise ValueError(f"matrix dimension {n} exceeds cap {cap}")
-    if n and not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    values, vectors = np.linalg.eig(m)
-    order = sorted(range(n), key=lambda i: (values[i].real, values[i].imag))
+    values, vectors, residuals = eig_complex_stack(np.asarray(m)[None], cap)
     pairs = []
-    for i in order:
-        vec = _normalize_inf(vectors[:, i].copy())
-        res = _pair_residual(m, values[i], vec)
-        if res > BACKWARD_ERROR_TOL:
-            vec, res = _refine_pair(m, complex(values[i]), vec, sweeps=100 * max(n, 1))
-        if res > BACKWARD_ERROR_TOL:
-            raise ConvergenceError(
-                f"complex eigenpair residual {res:.3e} exceeds 1e-9"
-            )
+    for j in range(values.shape[1]):
+        vec = vectors[0, :, j].copy()
         vec.flags.writeable = False
-        pairs.append(EigenPair(complex(values[i]), vec, res))
+        pairs.append(EigenPair(complex(values[0, j]), vec, float(residuals[0, j])))
     return pairs
 
 
@@ -283,7 +320,7 @@ class SpectrumSet:
     ):
         raw = [complex(v) for v in values]
         if witnesses is not None and len(witnesses) != len(raw):
-            raise ValueError("witnesses must parallel values")
+            raise ValueError("witnesses must pair one to one with values")
         if dedup_tol <= 0:
             raise ValueError("dedup_tol must be positive")
         self.dedup_tol = float(dedup_tol)

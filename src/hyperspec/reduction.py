@@ -11,7 +11,6 @@ spectra, spectral radii and largest H-eigenvalues with witnesses.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -19,8 +18,9 @@ import numpy as np
 
 from hyperspec.graphs import LoopedGraph, as_subset, connected_subsets
 from hyperspec.linalg import (
+    ConvergenceError,
     SpectrumSet,
-    eig_complex_pairs,
+    eig_complex_stack,
     eig_real_symmetric,
 )
 
@@ -73,9 +73,6 @@ class PhaseAssignment:
             if not 0 <= p < self.k:
                 raise ValueError(f"phase {p} out of range [0, {self.k})")
 
-    def unit_values(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.array(self.phases) / self.k)
-
 
 @dataclass(frozen=True)
 class ReductionWitness:
@@ -114,15 +111,34 @@ def reduced_matrix(
     subset = as_subset(members, g.vertex_count)
     if len(phases) != len(subset):
         raise ValueError("one phase per subset member is required")
-    sub = g.modified_induced_subgraph(subset)
-    if not sub.is_connected():
+    if not g.modified_induced_subgraph(subset).is_connected():
         raise ValueError(f"subset {subset} does not induce a connected subgraph")
     assign = PhaseAssignment(k, tuple(int(p) % k for p in phases))
-    units = assign.unit_values()
-    phased_adjacency = np.outer(units, units) * sub.adjacency_matrix()
+    degrees, adjacency = _principal(g.degree_vector(), g.adjacency_matrix(), subset)
+    return _phased_matrices(degrees, adjacency, k, np.array([assign.phases]), kind)[0]
+
+
+def _principal(
+    degrees: np.ndarray, adjacency: np.ndarray, subset: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """D[U] and A[U] of the base graph: D and A of the modified induced subgraph."""
+    index = np.array(subset)
+    return degrees[index], adjacency[np.ix_(index, index)]
+
+
+def _phased_matrices(
+    degrees: np.ndarray, adjacency: np.ndarray, k: int, phases: np.ndarray, kind: str
+) -> np.ndarray:
+    """D - E A E for every row of ``phases``, stacked as an (N, s, s) array.
+
+    E is the diagonal of exp(2 pi i l / k) over a row's phases l.  The
+    signless kind is D + E A E and the adjacency kind is E A E.
+    """
+    units = np.exp(2j * np.pi * phases / k)
+    phased_adjacency = units[:, :, None] * units[:, None, :] * adjacency
     if kind == "adjacency":
         return phased_adjacency
-    diag = np.diag(sub.degree_vector()).astype(complex)
+    diag = np.diag(degrees).astype(complex)
     if kind == "laplacian":
         return diag - phased_adjacency
     return diag + phased_adjacency
@@ -201,17 +217,21 @@ def _check_power_inputs(g: LoopedGraph, k: int) -> None:
 
 
 def _plan_work(
-    g: LoopedGraph, k: int, max_subset: int, budget: int
+    g: LoopedGraph, k: int, max_subset: int, budget: int, identity_only: bool = False
 ) -> tuple[list[tuple[tuple[int, ...], int]], bool, int]:
-    """Deterministic per-subset phase quotas under the matrix budget."""
+    """Deterministic per-subset phase quotas under the matrix budget.
+
+    The identity-phase slice takes one matrix per subset, the full reduction
+    one per phase class.
+    """
+    _check_power_inputs(g, k)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    subsets = list(connected_subsets(g, min(g.vertex_count, max_subset)))
     complete = g.vertex_count <= max_subset
     used = 0
     plan = []
-    for subset in subsets:
-        block = (k // 2) ** len(subset)
+    for subset in connected_subsets(g, min(g.vertex_count, max_subset)):
+        block = 1 if identity_only else (k // 2) ** len(subset)
         take = min(block, budget - used)
         if take < block:
             complete = False
@@ -221,18 +241,64 @@ def _plan_work(
     return plan, complete, used
 
 
-def _eval_subset(
-    g: LoopedGraph, k: int, kind: str, subset: tuple[int, ...], quota: int
-) -> list[tuple[complex, ReductionWitness]]:
-    out = []
-    for phases in itertools.islice(phase_classes(len(subset), k), quota):
-        matrix = reduced_matrix(g, k, subset, phases, kind)
-        assign = PhaseAssignment(k, phases)
-        for pair in eig_complex_pairs(matrix):
-            out.append(
-                (pair.value, ReductionWitness(subset, assign, kind, pair.value))
-            )
-    return out
+# matrix entries per eigensolver call; bounds the memory of one stack
+_STACK_ENTRIES = 1 << 16
+
+
+def _solve_plan(
+    g: LoopedGraph,
+    k: int,
+    kind: str,
+    plan: list[tuple[tuple[int, ...], int]],
+    identity_only: bool = False,
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], np.ndarray]]:
+    """Build and solve the planned reduced matrices, one stack at a time.
+
+    Yields ``(subset, phases, values)``: consecutive phase classes of one
+    subset and the sorted eigenvalues of their matrices, one row per class.
+    A failed certificate re-raises ConvergenceError naming its witness.
+    """
+    graph_degrees, graph_adjacency = g.degree_vector(), g.adjacency_matrix()
+    for subset, quota in plan:
+        degrees, adjacency = _principal(graph_degrees, graph_adjacency, subset)
+        classes = itertools.islice(phase_classes(len(subset), k), quota)
+        batch = max(1, _STACK_ENTRIES // len(subset) ** 2)
+        while phases := list(itertools.islice(classes, batch)):
+            stack = _phased_matrices(degrees, adjacency, k, np.array(phases), kind)
+            try:
+                if identity_only:
+                    # one real symmetric matrix: the all-zero phase class
+                    pairs = eig_real_symmetric(stack[0].real)
+                    values = np.array([[p.value for p in pairs]])
+                else:
+                    values = eig_complex_stack(stack)[0]
+            except ConvergenceError as exc:
+                witness = f"subset {subset}, phases {phases[exc.index or 0]}"
+                raise ConvergenceError(f"{exc} at {witness}") from exc
+            yield subset, phases, values
+
+
+def _spectrum_report(
+    g: LoopedGraph,
+    k: int,
+    kind: str,
+    dedup_tol: float,
+    max_subset: int,
+    budget: int,
+    identity_only: bool,
+) -> SpectrumReport:
+    kind = normalize_kind(kind)
+    plan, complete, used = _plan_work(g, k, max_subset, budget, identity_only)
+    values: list[complex] = []
+    witnesses: list[ReductionWitness] = []
+    for subset, phases, eigenvalues in _solve_plan(g, k, kind, plan, identity_only):
+        for row, row_values in zip(phases, eigenvalues.tolist()):
+            assign = PhaseAssignment(k, row)
+            for value in row_values:
+                values.append(value)
+                witnesses.append(ReductionWitness(subset, assign, kind, value))
+    spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
+    return SpectrumReport(kind, k, spectrum, complete, used)
 
 
 def spectrum_power(
@@ -243,7 +309,6 @@ def spectrum_power(
     dedup_tol: float = DEDUP_TOL,
     max_subset: int = DEFAULT_MAX_SUBSET,
     budget: int = DEFAULT_BUDGET,
-    parallel: int = 1,
 ) -> SpectrumReport:
     """Spectrum of the chosen tensor of the half blow-up of ``g``.
 
@@ -251,24 +316,7 @@ def spectrum_power(
     phase classes, deduplicated at ``dedup_tol``.  Results under an exhausted
     budget are flagged incomplete, never silently truncated.
     """
-    kind = normalize_kind(kind)
-    _check_power_inputs(g, k)
-    plan, complete, used = _plan_work(g, k, max_subset, budget)
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(
-                pool.map(lambda item: _eval_subset(g, k, kind, *item), plan)
-            )
-    else:
-        chunks = [_eval_subset(g, k, kind, *item) for item in plan]
-    values: list[complex] = []
-    witnesses: list[ReductionWitness] = []
-    for chunk in chunks:
-        for value, witness in chunk:
-            values.append(value)
-            witnesses.append(witness)
-    spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
-    return SpectrumReport(kind, k, spectrum, complete, used)
+    return _spectrum_report(g, k, kind, dedup_tol, max_subset, budget, False)
 
 
 def h_spectrum_power(
@@ -279,50 +327,13 @@ def h_spectrum_power(
     dedup_tol: float = DEDUP_TOL,
     max_subset: int = DEFAULT_MAX_SUBSET,
     budget: int = DEFAULT_BUDGET,
-    parallel: int = 1,
 ) -> SpectrumReport:
     """H-spectrum of the chosen tensor of the half blow-up of ``g``.
 
     This is the identity-phase slice of the reduction: real symmetric matrices
     of modified induced subgraphs, one per connected subset.
     """
-    kind = normalize_kind(kind)
-    _check_power_inputs(g, k)
-    subsets = list(connected_subsets(g, min(g.vertex_count, max_subset)))
-    complete = g.vertex_count <= max_subset
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if len(subsets) > budget:
-        subsets = subsets[:budget]
-        complete = False
-
-    def eval_subset(subset: tuple[int, ...]) -> list[tuple[complex, ReductionWitness]]:
-        sub = g.modified_induced_subgraph(subset)
-        if kind == "adjacency":
-            matrix = sub.adjacency_matrix()
-        elif kind == "laplacian":
-            matrix = sub.laplacian_matrix()
-        else:
-            matrix = sub.signless_laplacian_matrix()
-        assign = PhaseAssignment(k, (0,) * len(subset))
-        return [
-            (pair.value, ReductionWitness(subset, assign, kind, pair.value))
-            for pair in eig_real_symmetric(matrix)
-        ]
-
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(pool.map(eval_subset, subsets))
-    else:
-        chunks = [eval_subset(subset) for subset in subsets]
-    values: list[complex] = []
-    witnesses: list[ReductionWitness] = []
-    for chunk in chunks:
-        for value, witness in chunk:
-            values.append(value)
-            witnesses.append(witness)
-    spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
-    return SpectrumReport(kind, k, spectrum, complete, len(subsets))
+    return _spectrum_report(g, k, kind, dedup_tol, max_subset, budget, True)
 
 
 def lambda_max_laplacian(g: LoopedGraph, k: int) -> float:
@@ -335,10 +346,6 @@ def lambda_max_laplacian(g: LoopedGraph, k: int) -> float:
     return float(eig_real_symmetric(g.laplacian_matrix())[-1].value)
 
 
-def _witness_order_key(witness: ReductionWitness):
-    return (len(witness.subset), witness.subset, witness.phase.phases)
-
-
 def rho_power(
     g: LoopedGraph,
     k: int,
@@ -346,7 +353,6 @@ def rho_power(
     *,
     max_subset: int = DEFAULT_MAX_SUBSET,
     budget: int = DEFAULT_BUDGET,
-    parallel: int = 1,
     tie_tol: float = 1e-9,
 ) -> RhoResult:
     """Spectral radius of the chosen tensor of the half blow-up of ``g``.
@@ -357,38 +363,30 @@ def rho_power(
     one with nonnegative imaginary part is preferred.
     """
     kind = normalize_kind(kind)
-    _check_power_inputs(g, k)
     plan, complete, used = _plan_work(g, k, max_subset, budget)
-
-    def eval_subset(item: tuple[tuple[int, ...], int]):
-        subset, quota = item
-        best: list[tuple[float, ReductionWitness]] = []
-        for phases in itertools.islice(phase_classes(len(subset), k), quota):
-            matrix = reduced_matrix(g, k, subset, phases, kind)
-            pairs = eig_complex_pairs(matrix)
-            top = max(abs(p.value) for p in pairs)
-            candidates = [
-                p.value for p in pairs if abs(p.value) >= top - tie_tol * max(1.0, top)
-            ]
-            nonneg = [v for v in candidates if v.imag >= 0]
-            value = min(nonneg or candidates, key=lambda v: (v.real, v.imag))
-            best.append(
-                (top, ReductionWitness(subset, PhaseAssignment(k, phases), kind, value))
-            )
-        return best
-
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(pool.map(eval_subset, plan))
-    else:
-        chunks = [eval_subset(item) for item in plan]
-    entries = [entry for chunk in chunks for entry in chunk]
-    if not entries:
+    top = -np.inf
+    tied: list[tuple[float, ReductionWitness]] = []
+    for subset, phases, values in _solve_plan(g, k, kind, plan):
+        # np.hypot rounds exactly like abs() on a Python complex
+        moduli = np.hypot(values.real, values.imag)
+        tops = moduli.max(axis=1)
+        top = max(top, float(tops.max()))
+        threshold = top - tie_tol * max(1.0, top)
+        tied = [entry for entry in tied if entry[0] >= threshold]
+        for i in np.flatnonzero(tops >= threshold):
+            row_top = float(tops[i])
+            near = moduli[i] >= row_top - tie_tol * max(1.0, row_top)
+            nonneg = near & (values[i].imag >= 0)
+            # rows are sorted by (real, imag): the first hit is the minimum
+            j = np.flatnonzero(nonneg if nonneg.any() else near)[0]
+            assign = PhaseAssignment(k, phases[i])
+            witness = ReductionWitness(subset, assign, kind, complex(values[i, j]))
+            tied.append((row_top, witness))
+    if not tied:
         raise ValueError("reduction produced no matrices")
-    top = max(modulus for modulus, _ in entries)
-    threshold = top - tie_tol * max(1.0, top)
-    tied = [witness for modulus, witness in entries if modulus >= threshold]
-    witness = min(tied, key=_witness_order_key)
+    witness = min(
+        (w for _, w in tied), key=lambda w: (len(w.subset), w.subset, w.phase.phases)
+    )
     return RhoResult(top, witness, complete, used)
 
 

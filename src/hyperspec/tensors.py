@@ -21,7 +21,6 @@ from hyperspec.reduction import normalize_kind, reduced_matrix
 
 __all__ = [
     "TensorOperator",
-    "tensor_apply",
     "eig_residual",
     "nqz_power_iteration",
     "lift_real",
@@ -78,10 +77,6 @@ class TensorOperator:
 
     def __repr__(self) -> str:
         return f"TensorOperator({self.hypergraph!r}, kind={self.kind!r})"
-
-
-def tensor_apply(operator: TensorOperator, x: Sequence[complex]) -> np.ndarray:
-    return operator.apply(np.asarray(x))
 
 
 def eig_residual(operator: TensorOperator, value: complex, x: Sequence[complex]) -> float:

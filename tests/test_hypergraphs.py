@@ -217,3 +217,11 @@ class TestJson:
     def test_missing_key_is_value_error(self):
         with pytest.raises(ValueError):
             from_json_dict({"n": 3, "edges": []})
+
+    def test_half_edge_vertex_out_of_range(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            from_json_dict({"n": 4, "k": 4, "edges": [], "half_edges": {"0": [0, 1], "1": [7, 9]}})
+
+    def test_half_edge_keys_must_be_contiguous(self):
+        with pytest.raises(ValueError, match="keys"):
+            from_json_dict({"n": 4, "k": 4, "edges": [], "half_edges": {"0": [0, 1], "2": [2, 3]}})

@@ -1,14 +1,31 @@
+import ast
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from hyperspec.graphs import LoopedGraph, cycle_graph, path_graph
-from hyperspec.linalg import SpectrumSet, eig_complex_pairs, spectral_radius
+from hyperspec import linalg
+from hyperspec.graphs import (
+    LoopedGraph,
+    complete_graph,
+    connected_subsets,
+    cycle_graph,
+    path_graph,
+)
+from hyperspec.linalg import (
+    ConvergenceError,
+    SpectrumSet,
+    eig_complex_pairs,
+    spectral_radius,
+)
 from hyperspec.reduction import (
     PhaseAssignment,
     ReductionWitness,
+    RhoResult,
+    SpectrumReport,
     h_spectrum_power,
     lambda_max_laplacian,
     normalize_kind,
@@ -126,11 +143,11 @@ class TestSpectrumPower:
         assert not report.complete
         assert report.budget_used == 3
 
-    def test_parallel_matches_serial(self):
-        serial = spectrum_power(cycle_graph(3), 6, "laplacian", parallel=1)
-        threaded = spectrum_power(cycle_graph(3), 6, "laplacian", parallel=4)
-        assert serial.values == threaded.values
-        assert serial.to_json_dict() == threaded.to_json_dict()
+    def test_repeated_runs_match(self):
+        first = spectrum_power(cycle_graph(3), 6, "laplacian")
+        second = spectrum_power(cycle_graph(3), 6, "laplacian")
+        assert first.values == second.values
+        assert first.to_json_dict() == second.to_json_dict()
 
     def test_adjacency_spectrum_symmetric_iff_4_divides_k(self):
         g = cycle_graph(3)
@@ -391,3 +408,57 @@ class TestKindNames:
         assert d["phases"] == [1, 0]
         assert d["kind"] == "L"
         assert d["eigenvalue"] == [2.0, 1.0]
+
+
+def _one_matrix_at_a_time(g, k, kind):
+    """spectrum_power and rho_power JSON rebuilt from reduced_matrix + eig_complex_pairs."""
+    values, witnesses, entries = [], [], []
+    for subset in connected_subsets(g, g.vertex_count):
+        for phases in phase_classes(len(subset), k):
+            pairs = eig_complex_pairs(reduced_matrix(g, k, subset, phases, kind))
+            assign = PhaseAssignment(k, phases)
+            for p in pairs:
+                values.append(p.value)
+                witnesses.append(ReductionWitness(subset, assign, kind, p.value))
+            top = max(abs(p.value) for p in pairs)
+            near = [p.value for p in pairs if abs(p.value) >= top - 1e-9 * max(1.0, top)]
+            pick = min([v for v in near if v.imag >= 0] or near, key=lambda v: (v.real, v.imag))
+            entries.append((top, ReductionWitness(subset, assign, kind, pick)))
+    used = len(entries)
+    spectrum = SpectrumReport(kind, k, SpectrumSet(values, witnesses=witnesses), True, used)
+    top = max(t for t, _ in entries)
+    tied = [w for t, w in entries if t >= top - 1e-9 * max(1.0, top)]
+    witness = min(tied, key=lambda w: (len(w.subset), w.subset, w.phase.phases))
+    return spectrum.to_json_dict(), RhoResult(top, witness, True, used).to_json_dict()
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(3), cycle_graph(5), complete_graph(4)], ids=["C3", "C5", "K4"]
+    )
+    def test_matches_one_matrix_at_a_time(self, g, k, kind):
+        spectrum, rho = _one_matrix_at_a_time(g, k, kind)
+        assert _canonical(spectrum_power(g, k, kind).to_json_dict()) == _canonical(spectrum)
+        assert _canonical(rho_power(g, k, kind).to_json_dict()) == _canonical(rho)
+
+    @pytest.mark.parametrize("compute", [spectrum_power, h_spectrum_power, rho_power])
+    def test_convergence_error_names_its_witness(self, compute, monkeypatch):
+        monkeypatch.setattr(linalg, "BACKWARD_ERROR_TOL", 0.0)
+        monkeypatch.setattr(linalg, "SYMMETRIC_RESIDUAL_TOL", 0.0)
+        g = cycle_graph(3)
+        with pytest.raises(ConvergenceError) as info:
+            compute(g, 4, "laplacian")
+        found = re.search(r"subset (\(.*?\)), phases (\(.*?\))$", str(info.value))
+        assert found, str(info.value)
+        subset, phases = (ast.literal_eval(group) for group in found.groups())
+        assert subset in set(connected_subsets(g, 3))
+        assert len(phases) == len(subset) and all(0 <= p < 2 for p in phases)
+        if compute is not h_spectrum_power:
+            with pytest.raises(ConvergenceError):
+                eig_complex_pairs(reduced_matrix(g, 4, subset, phases))

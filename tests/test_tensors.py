@@ -17,7 +17,6 @@ from hyperspec.tensors import (
     lift_real,
     nqz_power_iteration,
     rotate_signless_to_laplacian,
-    tensor_apply,
     verify_diagonal_similarity,
 )
 
@@ -79,7 +78,7 @@ class TestTensorApply:
 
     def test_laplacian_annihilates_ones(self):
         h, _ = generalized_power(cycle_graph(3), 4, 2)
-        out = tensor_apply(TensorOperator(h, "laplacian"), np.ones(6))
+        out = TensorOperator(h, "laplacian").apply(np.ones(6))
         assert np.array_equal(out, np.zeros(6))
 
     def test_unit_vector_hits_degree(self):
@@ -94,7 +93,7 @@ class TestTensorApply:
 
     def test_signless_on_ones_is_four(self):
         h, _ = generalized_power(cycle_graph(3), 4, 2)
-        out = tensor_apply(TensorOperator(h, "signless"), np.ones(6))
+        out = TensorOperator(h, "signless").apply(np.ones(6))
         assert np.array_equal(out, 4.0 * np.ones(6))
 
     def test_dimension_mismatch(self):

@@ -249,22 +249,29 @@ def complete_graph(n: int) -> LoopedGraph:
 # permitted in files; they only arise internally.
 
 
+def _int_pair(line: str, shape: str) -> tuple[int, int]:
+    """The two integers of an edge-list line; the error names the line."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError(f"expected {shape}, got {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"expected integers in {shape}, got {line!r}") from None
+
+
 def parse_edge_list(text: str) -> LoopedGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected header 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(lines[0], "header 'n m'")
+    if n < 0 or m < 0:
+        raise ValueError(f"header 'n m' needs nonnegative counts, got {lines[0]!r}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected edge line 'u v', got {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _int_pair(ln, "edge line 'u v'")
         if u == v:
             raise ValueError(f"loop {u} {v} not permitted in edge-list input")
         edges.append((u, v))

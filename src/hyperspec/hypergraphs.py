@@ -245,18 +245,32 @@ def to_canonical_json(h: Hypergraph, halfmap: HalfEdgeMap | None = None) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _vertex_lists(raw: object, what: str) -> list[tuple[int, ...]]:
+    """JSON lists of integer vertices as tuples; ValueError for any other shape."""
+    if not isinstance(raw, list) or not all(
+        isinstance(e, list) and all(type(v) is int for v in e) for e in raw
+    ):
+        raise ValueError(f"{what} must be a list of integer vertex lists")
+    return [tuple(e) for e in raw]
+
+
 def from_json_dict(payload: dict) -> tuple[Hypergraph, HalfEdgeMap | None]:
+    if not isinstance(payload, dict):
+        raise ValueError("hypergraph JSON must be an object")
     try:
-        h = Hypergraph(int(payload["n"]), int(payload["k"]), payload["edges"])
+        n, k, edges = payload["n"], payload["k"], payload["edges"]
     except KeyError as exc:
         raise ValueError(f"hypergraph JSON is missing key {exc}") from exc
+    if type(n) is not int or type(k) is not int:
+        raise ValueError("hypergraph JSON n and k must be integers")
+    h = Hypergraph(n, k, _vertex_lists(edges, "edges"))
     halfmap = None
     if "half_edges" in payload:
         raw = payload["half_edges"]
         if not isinstance(raw, dict) or set(raw) != {str(u) for u in range(len(raw))}:
             raise ValueError("half_edges keys must be the base vertices 0..len-1")
         half_edges = tuple(
-            tuple(int(v) for v in raw[str(u)]) for u in range(len(raw))
+            _vertex_lists([raw[str(u)] for u in range(len(raw))], "half_edges values")
         )
         if any(not 0 <= v < h.vertex_count for members in half_edges for v in members):
             raise ValueError(f"half-edge vertices must lie in [0, {h.vertex_count})")

@@ -272,35 +272,80 @@ def power_iteration_nonneg(
 # -- spectrum sets ----------------------------------------------------------
 
 
-def _single_linkage(values: Sequence[complex], threshold: float) -> list[list[int]]:
-    """Union-find single-linkage clusters of complex values at ``threshold``."""
-    count = len(values)
-    parent = list(range(count))
+# candidate pairs per sweep step; bounds the sweep's scratch arrays
+_PAIR_CHUNK = 1 << 14
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+def _roots(parents: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Root of each node in the forest ``parents``, by pointer jumping."""
+    roots = parents[nodes]
+    while True:
+        up = parents[roots]
+        if np.array_equal(up, roots):
+            return roots
+        roots = up
 
-    order = sorted(range(count), key=lambda i: (values[i].real, values[i].imag))
-    for a in range(count):
-        i = order[a]
-        for b in range(a + 1, count):
-            j = order[b]
-            if values[j].real - values[i].real > threshold:
-                break
-            if abs(values[i] - values[j]) <= threshold:
-                union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+
+def _union(parents: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join each pair (a, b) in the forest ``parents``, whose roots are minima.
+
+    Each round hooks both roots of every still-separate pair onto the smaller
+    one; ``np.minimum.at`` settles roots hooked by several pairs at once.
+    """
+    while True:
+        ra, rb = _roots(parents, a), _roots(parents, b)
+        apart = ra != rb
+        if not apart.any():
+            return
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        low = np.minimum(ra, rb)
+        np.minimum.at(parents, ra, low)
+        np.minimum.at(parents, rb, low)
+
+
+def _clusters(points: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage clusters of complex points at ``threshold``.
+
+    Two points link when, in (real, imag) order, the later real part minus the
+    earlier is at most ``threshold`` and so is their distance.  Returns
+    ``(members, starts)``: the point indices grouped by cluster, clusters in
+    the order of their smallest index and members in (real, imag) order, and
+    the offset of each cluster in ``members``.
+    """
+    count = len(points)
+    order = np.lexsort((points.imag, points.real))
+    re, im = points.real[order], points.imag[order]
+    reach = re + threshold
+    # widen each window past rounding; the exact test of each pair trims it
+    reach += 4 * np.finfo(float).eps * (np.abs(reach) + threshold)
+    # sorted position a pairs with the positions a+1 .. ends[a]-1
+    widths = np.searchsorted(re, reach, side="right") - np.arange(1, count + 1)
+    firsts = np.cumsum(widths) - widths
+    total = int(widths.sum())
+    parents = np.arange(count)
+    for lo in range(0, total, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, total)
+        # positions r0..r1-1 own the pairs lo..hi-1; clip the two end rows
+        r0 = int(np.searchsorted(firsts, lo, side="right")) - 1
+        r1 = int(np.searchsorted(firsts, hi - 1, side="right"))
+        row_lo, row_hi = firsts[r0:r1], firsts[r0:r1] + widths[r0:r1]
+        a = np.repeat(
+            np.arange(r0, r1), np.minimum(row_hi, hi) - np.maximum(row_lo, lo)
+        )
+        b = a + 1 + np.arange(lo, hi) - firsts[a]
+        dre = re[b] - re[a]
+        # np.hypot rounds exactly like abs() on a Python complex
+        near = (dre <= threshold) & (np.hypot(dre, im[b] - im[a]) <= threshold)
+        _union(parents, a[near], b[near])
+    # key each cluster by its smallest point index; a stable sort of the
+    # sorted positions keeps (real, imag) order within each cluster
+    roots = _roots(parents, np.arange(count))
+    smallest = np.full(count, count)
+    np.minimum.at(smallest, roots, order)
+    keys = smallest[roots]
+    grouped = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[grouped], prepend=-1))
+    return order[grouped], starts
 
 
 class SpectrumSet:
@@ -310,6 +355,13 @@ class SpectrumSet:
     representatives are pairwise separated by more than ``dedup_tol`` times
     the scale max(1, largest modulus).  ``witnesses[i]`` is the witness of the
     earliest input contributing to ``values[i]`` (None when not supplied).
+
+    Clustering is single linkage, repeated on the cluster means until no two
+    means link.  Each round is a numpy sweep: sort by (real, imag), take each
+    value's window of later values whose real part is within the threshold,
+    test the candidate pairs at most 2**14 at a time, and join the linked ones
+    by union-find on index arrays, so scratch memory stays bounded however
+    large a cluster is.  Each mean sums its members in (real, imag) order.
     """
 
     def __init__(
@@ -318,37 +370,37 @@ class SpectrumSet:
         dedup_tol: float = DEFAULT_DEDUP_TOL,
         witnesses: Sequence[object] | None = None,
     ):
-        raw = [complex(v) for v in values]
-        if witnesses is not None and len(witnesses) != len(raw):
+        vals = [complex(v) for v in values]
+        if witnesses is not None and len(witnesses) != len(vals):
             raise ValueError("witnesses must pair one to one with values")
         if dedup_tol <= 0:
             raise ValueError("dedup_tol must be positive")
+        points = np.array(vals, dtype=complex)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("spectrum values must be finite")
         self.dedup_tol = float(dedup_tol)
-        scale = max(1.0, max((abs(v) for v in raw), default=0.0))
+        scale = max(1.0, float(np.hypot(points.real, points.imag).max(initial=0.0)))
         threshold = self.dedup_tol * scale
 
-        vals = raw
-        wits: list[object] = list(witnesses) if witnesses is not None else [None] * len(raw)
-        prio = list(range(len(raw)))
+        # earliest input index of each value; clusters keep their smallest
+        earliest = np.arange(len(vals))
         while True:
-            clusters = _single_linkage(vals, threshold)
-            if len(clusters) == len(vals):
+            members, starts = _clusters(points, threshold)
+            if len(starts) == len(vals):
                 break
-            merged_vals, merged_wits, merged_prio = [], [], []
-            for group in clusters:
-                group_sorted = sorted(
-                    group, key=lambda i: (vals[i].real, vals[i].imag)
-                )
-                rep = sum(vals[i] for i in group_sorted) / len(group_sorted)
-                lead = min(group, key=lambda i: prio[i])
-                merged_vals.append(rep)
-                merged_wits.append(wits[lead])
-                merged_prio.append(prio[lead])
-            vals, wits, prio = merged_vals, merged_wits, merged_prio
+            ordered = [vals[i] for i in members.tolist()]
+            bounds = starts.tolist() + [len(ordered)]
+            vals = [
+                sum(ordered[lo:hi]) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])
+            ]
+            earliest = earliest[np.minimum.reduceat(members, starts)]
+            points = np.array(vals, dtype=complex)
 
         order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
         self.values: tuple[complex, ...] = tuple(vals[i] for i in order)
-        self.witnesses: tuple[object, ...] = tuple(wits[i] for i in order)
+        self.witnesses: tuple[object, ...] = tuple(
+            None if witnesses is None else witnesses[earliest[i]] for i in order
+        )
         self._scale = max(1.0, max((abs(v) for v in self.values), default=0.0))
 
     def __len__(self) -> int:

@@ -10,9 +10,10 @@ spectra, spectral radii and largest H-eigenvalues with witnesses.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -278,6 +279,36 @@ def _solve_plan(
             yield subset, phases, values
 
 
+class _Witnesses(Sequence):
+    """The witness of every enumerated eigenvalue, built only when read.
+
+    Indexes the eigenvalues of the solved blocks row by row, in the order
+    ``_solve_plan`` yields them; dedup reads one witness per cluster.
+    """
+
+    def __init__(
+        self,
+        k: int,
+        kind: str,
+        blocks: list[tuple[tuple[int, ...], list[tuple[int, ...]], np.ndarray]],
+    ) -> None:
+        self._k, self._kind, self._blocks = k, kind, blocks
+        self._ends = list(itertools.accumulate(v.size for _, _, v in blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index: int) -> ReductionWitness:
+        if not 0 <= index < len(self):
+            raise IndexError("witness index out of range")
+        block = bisect.bisect_right(self._ends, index)
+        subset, phases, values = self._blocks[block]
+        start = self._ends[block] - values.size
+        row, col = divmod(int(index) - start, values.shape[1])
+        assign = PhaseAssignment(self._k, phases[row])
+        return ReductionWitness(subset, assign, self._kind, values[row, col].item())
+
+
 def _spectrum_report(
     g: LoopedGraph,
     k: int,
@@ -289,14 +320,9 @@ def _spectrum_report(
 ) -> SpectrumReport:
     kind = normalize_kind(kind)
     plan, complete, used = _plan_work(g, k, max_subset, budget, identity_only)
-    values: list[complex] = []
-    witnesses: list[ReductionWitness] = []
-    for subset, phases, eigenvalues in _solve_plan(g, k, kind, plan, identity_only):
-        for row, row_values in zip(phases, eigenvalues.tolist()):
-            assign = PhaseAssignment(k, row)
-            for value in row_values:
-                values.append(value)
-                witnesses.append(ReductionWitness(subset, assign, kind, value))
+    blocks = list(_solve_plan(g, k, kind, plan, identity_only))
+    values = np.concatenate([v.ravel() for _, _, v in blocks]) if blocks else []
+    witnesses = _Witnesses(k, kind, blocks)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
     return SpectrumReport(kind, k, spectrum, complete, used)
 

@@ -389,6 +389,40 @@ class TestCertificateCommand:
         bad.write_text("{not json")
         assert run_cli(["certificate", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"edges": 5},
+            {"edges": [5]},
+            {"edges": [[0, None]]},
+            {"n": [6]},
+            {"half_edges": {"0": 5}},
+            {"half_edges": {"0": [True, 1], "1": [2, 3], "2": [4, 5]}},
+        ],
+        ids=[
+            "edges-int",
+            "edge-int",
+            "vertex-null",
+            "n-list",
+            "half-edge-int",
+            "half-edge-bool",
+        ],
+    )
+    def test_malformed_members_are_input_error(self, triangle_file, tmp_path, capsys, change):
+        power = tmp_path / "h.json"
+        assert run_cli(["power", "--input", triangle_file, "--k", "4", "--out", str(power)]) == 0
+        payload = json.loads(power.read_text())
+        payload.update(change)
+        power.write_text(json.dumps(payload))
+        assert run_cli(["certificate", "--input", str(power)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_object_json_is_input_error(self, tmp_path, capsys):
+        power = tmp_path / "h.json"
+        power.write_text("[1, 2]")
+        assert run_cli(["certificate", "--input", str(power)]) == 2
+        assert "must be an object" in capsys.readouterr().err
+
     def test_gapped_half_edge_keys_are_input_error(self, triangle_file, tmp_path):
         power = tmp_path / "h.json"
         assert run_cli(["power", "--input", triangle_file, "--k", "4", "--out", str(power)]) == 0

@@ -220,6 +220,19 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             parse_edge_list("3 2\n0 1\n1 0\n")
 
+    def test_negative_vertex_count_names_the_header(self):
+        with pytest.raises(ValueError, match="header 'n m' needs nonnegative counts, got '-2 0'"):
+            parse_edge_list("-2 0\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("3 two\n", "3 two"), ("2.5 1\n0 1\n", "2.5 1"), ("3 1\n0 b\n", "0 b")],
+    )
+    def test_non_integer_tokens_name_the_line(self, text, line):
+        with pytest.raises(ValueError, match="expected integers") as info:
+            parse_edge_list(text)
+        assert repr(line) in str(info.value)
+
 
 class TestValidation:
     def test_rejects_self_edge(self):

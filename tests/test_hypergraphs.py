@@ -222,6 +222,19 @@ class TestJson:
         with pytest.raises(ValueError, match="must lie in"):
             from_json_dict({"n": 4, "k": 4, "edges": [], "half_edges": {"0": [0, 1], "1": [7, 9]}})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 4, "k": 4, "edges": [[0, 1, 2, 3.5]]},
+            {"n": 4, "k": 4, "edges": [[True, 0, 2, 3]]},
+            {"n": "4", "k": 4, "edges": [[0, 1, 2, 3]]},
+        ],
+        ids=["float-vertex", "bool-vertex", "string-n"],
+    )
+    def test_values_must_be_json_integers(self, payload):
+        with pytest.raises(ValueError, match="integer"):
+            from_json_dict(payload)
+
     def test_half_edge_keys_must_be_contiguous(self):
         with pytest.raises(ValueError, match="keys"):
             from_json_dict({"n": 4, "k": 4, "edges": [], "half_edges": {"0": [0, 1], "2": [2, 3]}})

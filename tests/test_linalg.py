@@ -1,9 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hyperspec import reduction
 from hyperspec.graphs import cycle_graph
 from hyperspec.linalg import (
     ConvergenceError,
@@ -227,3 +231,175 @@ class TestSpectrumSet:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             SpectrumSet([1.0], dedup_tol=0.0)
+
+
+def reference_single_linkage(values, threshold):
+    """Oracle: the pure-Python union-find sweep SpectrumSet used to run."""
+    count = len(values)
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    order = sorted(range(count), key=lambda i: (values[i].real, values[i].imag))
+    for a in range(count):
+        i = order[a]
+        for b in range(a + 1, count):
+            j = order[b]
+            if values[j].real - values[i].real > threshold:
+                break
+            if abs(values[i] - values[j]) <= threshold:
+                union(i, j)
+    groups = {}
+    for i in range(count):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def reference_dedup(values, dedup_tol=1e-8, witnesses=None):
+    """Oracle: SpectrumSet's merge rounds over the reference linkage."""
+    raw = [complex(v) for v in values]
+    scale = max(1.0, max((abs(v) for v in raw), default=0.0))
+    threshold = dedup_tol * scale
+    vals = raw
+    wits = list(witnesses) if witnesses is not None else [None] * len(raw)
+    prio = list(range(len(raw)))
+    while True:
+        clusters = reference_single_linkage(vals, threshold)
+        if len(clusters) == len(vals):
+            break
+        merged_vals, merged_wits, merged_prio = [], [], []
+        for group in clusters:
+            group_sorted = sorted(group, key=lambda i: (vals[i].real, vals[i].imag))
+            rep = sum(vals[i] for i in group_sorted) / len(group_sorted)
+            lead = min(group, key=lambda i: prio[i])
+            merged_vals.append(rep)
+            merged_wits.append(wits[lead])
+            merged_prio.append(prio[lead])
+        vals, wits, prio = merged_vals, merged_wits, merged_prio
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+    return tuple(vals[i] for i in order), tuple(wits[i] for i in order)
+
+
+def assert_matches_reference(values, dedup_tol, witnesses):
+    s = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
+    want_values, want_witnesses = reference_dedup(values, dedup_tol, witnesses)
+    # float.hex tells -0.0 from 0.0, so equal bits, not just equal values
+    assert [(v.real.hex(), v.imag.hex()) for v in s.values] == [
+        (v.real.hex(), v.imag.hex()) for v in want_values
+    ]
+    assert len(s.witnesses) == len(want_witnesses)
+    assert all(a is b for a, b in zip(s.witnesses, want_witnesses))
+    return s
+
+
+# Grid points k/8 stay inside the unit disc, so the threshold is exactly
+# dedup_tol: chains at exactly the threshold, exact duplicates, equal real
+# parts and purely imaginary offsets all occur, and 2-D configurations whose
+# cluster means link only in a later round.
+grid_points = st.builds(
+    lambda a, b: complex(a / 8, b / 8), st.integers(-5, 5), st.integers(-5, 5)
+)
+noisy_points = st.builds(
+    complex, st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False)
+)
+
+
+def with_witnesses(values, attach):
+    return [object() for _ in values] if attach else None
+
+
+class TestSpectrumSetAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(grid_points, max_size=30),
+        st.sampled_from([1 / 8, 3 / 16, 1 / 4, 3 / 8]),
+        st.booleans(),
+    )
+    @example([0.0, 0.25j, 0.25 + 0.125j], 1 / 4, True)  # links only in round 2
+    @example([0.5, 0.5, 0.5 + 0.25j, 0.75 + 0.25j], 1 / 4, False)
+    def test_grid_values(self, values, dedup_tol, attach):
+        assert_matches_reference(values, dedup_tol, with_witnesses(values, attach))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(noisy_points, max_size=40),
+        st.sampled_from([1e-8, 1e-3, 0.05, 0.3]),
+        st.booleans(),
+    )
+    def test_noisy_values(self, values, dedup_tol, attach):
+        assert_matches_reference(values, dedup_tol, with_witnesses(values, attach))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(noisy_points, st.integers(1, 6), st.integers(0, 2**32 - 1)),
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_tight_clusters(self, centres, attach):
+        # eigenvalue-like input: copies of a few centres jittered near 1e-15
+        values = []
+        for centre, copies, seed in centres:
+            rng = random.Random(seed)
+            values += [
+                centre + complex(rng.gauss(0, 1e-15), rng.gauss(0, 1e-15))
+                for _ in range(copies)
+            ]
+        random.Random(len(values)).shuffle(values)
+        assert_matches_reference(values, 1e-8, with_witnesses(values, attach))
+
+    def test_second_round_merge(self):
+        # the first two link; the third links only with their mean, a round later
+        s = assert_matches_reference([0.0, 0.25j, 0.25 + 0.125j], 1 / 4, None)
+        assert len(s) == 1
+
+    def test_empty_input(self):
+        s = assert_matches_reference([], 1e-8, [])
+        assert s.values == () and s.witnesses == ()
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumSet([1.0, complex(math.nan, 0.0)])
+
+    def test_c7_sixth_power_laplacian_inputs(self, monkeypatch):
+        captured = {}
+
+        class Capture(SpectrumSet):
+            def __init__(self, values, dedup_tol, witnesses):
+                captured["values"] = [complex(v) for v in values]
+                captured["witnesses"] = list(witnesses)
+                super().__init__(values, dedup_tol=dedup_tol, witnesses=witnesses)
+
+        monkeypatch.setattr(reduction, "SpectrumSet", Capture)
+        report = reduction.spectrum_power(cycle_graph(7), 6, "L")
+        values, witnesses = captured["values"], captured["witnesses"]
+        assert len(values) == 57414
+        s = assert_matches_reference(values, reduction.DEDUP_TOL, witnesses)
+        assert len(s) == len(report.values) == 2584
+        assert report.spectrum.witnesses == s.witnesses
+
+
+def test_one_large_cluster_dedups_in_bounded_memory():
+    # 5000 values in one cluster make 12.5 million candidate pairs; they are
+    # tested a chunk at a time, so scratch memory stays small
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+    values = (2.0 + 1e-12 * noise).tolist()
+    tracemalloc.start()
+    try:
+        s = SpectrumSet(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 1
+    assert peak < 8 * 2**20

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from hyperspec.hypergraphs import Hypergraph, odd_bipartition
 from hyperspec.tensors import Gauge, verify_diagonal_similarity
 
@@ -41,17 +43,6 @@ class ModularSystem:
             raise ValueError("modulus must be at least 2")
         if self.variable_count < 0:
             raise ValueError("variable count must be nonnegative")
-
-    def dense_rows(self) -> tuple[list[list[int]], list[int]]:
-        coeffs = []
-        rhs = []
-        for row, r in self.rows:
-            dense = [0] * self.variable_count
-            for var, c in row:
-                dense[var] = c % self.modulus
-            coeffs.append(dense)
-            rhs.append(r % self.modulus)
-        return coeffs, rhs
 
     def satisfied_by(self, assignment: Sequence[int]) -> bool:
         m = self.modulus
@@ -113,9 +104,7 @@ def _valuation(a: int, p: int) -> int:
     return v
 
 
-def _solve_prime_power(
-    coeffs: list[list[int]], rhs: list[int], nvars: int, p: int, e: int
-) -> list[int] | None:
+def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | None:
     """One solution of the system mod p^e, or None.
 
     Minimal-valuation pivoting with unit normalization.  Each pivot of
@@ -123,46 +112,52 @@ def _solve_prime_power(
     p^(e-v)), which captures the divisibility constraints on later variables;
     with those rows present, zeroing free variables and taking minimal lifts
     during back-substitution can never miss a solvable system.
+
+    The rows live in one integer array, followed by a free slot for each
+    saturation row a pivot can add, so array order is the order in which rows
+    joined.  A pivot row leaves by being zeroed.  The pivot of a column is the
+    first row of least p^v = gcd(a, q); gcd(0, q) = q marks rows without the
+    column.  The dtype holds every intermediate exactly: int16 while
+    q^2 < 2^15, int64 while q < 2^31, Python integers beyond.
     """
     q = p**e
-    active = [[c % q for c in row] + [r % q] for row, r in zip(coeffs, rhs)]
+    nvars = system.variable_count
+    size = len(system.rows)
+    dtype = np.int16 if q * q < 2**15 else np.int64 if q < 2**31 else object
+    active = np.zeros((size + nvars, nvars + 1), dtype=dtype)
+    at = [i for i, (row, _) in enumerate(system.rows) for _ in row]
+    var = [v for row, _ in system.rows for v, _ in row]
+    active[at, var] = [c % q for row, _ in system.rows for _, c in row]
+    active[:size, nvars] = [r % q for _, r in system.rows]
+    free = size
     pivots: list[tuple[list[int], int, int]] = []
     for col in range(nvars):
-        best = None
-        for idx, row in enumerate(active):
-            a = row[col]
-            if a == 0:
-                continue
-            v = _valuation(a, p)
-            if best is None or v < best[1]:
-                best = (idx, v)
-        if best is None:
+        gcds = np.gcd(active[:, col], q)
+        idx = int(np.argmin(gcds))
+        pivot = int(gcds[idx])
+        if pivot == q:
             continue
-        idx, v = best
-        row = active.pop(idx)
-        unit = row[col] // p**v
-        inverse = pow(unit, -1, q)
-        row = [(x * inverse) % q for x in row]
+        v = _valuation(pivot, p)
+        inverse = pow(int(active[idx, col]) // pivot, -1, q)
+        row = (active[idx] * inverse) % q
+        active[idx] = 0
         if v > 0:
-            saturation = [(x * p ** (e - v)) % q for x in row]
-            if any(saturation[:nvars]):
-                active.append(saturation)
+            saturation = (row * p ** (e - v)) % q
+            if (saturation[:nvars] != 0).any():
+                active[free] = saturation
+                free += 1
             elif saturation[nvars] != 0:
                 return None
-        pivot = p**v
-        for other in active:
-            c = other[col]
-            if c:
-                # every active entry in this column has valuation >= v
-                t = c // pivot
-                for j in range(nvars + 1):
-                    other[j] = (other[j] - t * row[j]) % q
-        pivots.append((row, col, v))
-    for row in active:
-        if any(row[:nvars]):
+        # every remaining entry in this column has valuation >= v
+        hit = np.flatnonzero(active[:, col] != 0)
+        t = active[hit, col] // pivot
+        active[hit, col:] = (active[hit, col:] - t[:, None] * row[col:]) % q
+        pivots.append((row.tolist(), col, v))
+    left = np.flatnonzero((active != 0).any(axis=1))
+    if left.size:
+        if (active[left[0], :nvars] != 0).any():
             raise AssertionError("elimination left a coefficient unprocessed")
-        if row[nvars] != 0:
-            return None
+        return None
     solution = [0] * nvars
     for row, col, v in reversed(pivots):
         s = row[nvars]
@@ -189,11 +184,10 @@ def solve_mod_m(system: ModularSystem) -> Gauge | None:
     recombines by CRT.  Free variables are zero, so reruns agree bit for bit.
     Absence of a solution is a definitive answer for this modulus.
     """
-    coeffs, rhs = system.dense_rows()
     nvars = system.variable_count
     parts: list[tuple[list[int], int]] = []
     for p, e in _factorize(system.modulus):
-        component = _solve_prime_power(coeffs, rhs, nvars, p, e)
+        component = _solve_prime_power(system, p, e)
         if component is None:
             return None
         parts.append((component, p**e))

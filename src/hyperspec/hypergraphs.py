@@ -58,22 +58,17 @@ class Hypergraph:
         self.vertex_count = vertex_count
         self.k = k
         self.edges: tuple[tuple[int, ...], ...] = tuple(sorted(canon))
+        self.full_edges: tuple[tuple[int, ...], ...] = tuple(
+            e for e in self.edges if len(e) == k
+        )
+        self.loop_edges: tuple[tuple[int, ...], ...] = tuple(
+            e for e in self.edges if len(e) < k
+        )
+        self.is_uniform: bool = not self.loop_edges
         self._degrees = [0] * vertex_count
         for members in self.edges:
             for v in members:
                 self._degrees[v] += 1
-
-    @property
-    def full_edges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(e for e in self.edges if len(e) == self.k)
-
-    @property
-    def loop_edges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(e for e in self.edges if len(e) < self.k)
-
-    @property
-    def is_uniform(self) -> bool:
-        return all(len(e) == self.k for e in self.edges)
 
     def degree(self, v: int) -> int:
         """Number of edges (loop edges included) containing ``v``."""

@@ -315,14 +315,21 @@ def _clusters(points: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndar
     count = len(points)
     order = np.lexsort((points.imag, points.real))
     re, im = points.real[order], points.imag[order]
+    # equal points always link, so the sweep runs over the distinct values
+    # and every sorted position joins the component of its distinct value
+    fresh = np.ones(count, dtype=bool)
+    fresh[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+    distinct = np.cumsum(fresh) - 1
+    re, im = re[fresh], im[fresh]
+    size = len(re)
     reach = re + threshold
     # widen each window past rounding; the exact test of each pair trims it
     reach += 4 * np.finfo(float).eps * (np.abs(reach) + threshold)
-    # sorted position a pairs with the positions a+1 .. ends[a]-1
-    widths = np.searchsorted(re, reach, side="right") - np.arange(1, count + 1)
+    # distinct position a pairs with the positions a+1 .. ends[a]-1
+    widths = np.searchsorted(re, reach, side="right") - np.arange(1, size + 1)
     firsts = np.cumsum(widths) - widths
     total = int(widths.sum())
-    parents = np.arange(count)
+    parents = np.arange(size)
     for lo in range(0, total, _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, total)
         # positions r0..r1-1 own the pairs lo..hi-1; clip the two end rows
@@ -339,8 +346,8 @@ def _clusters(points: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndar
         _union(parents, a[near], b[near])
     # key each cluster by its smallest point index; a stable sort of the
     # sorted positions keeps (real, imag) order within each cluster
-    roots = _roots(parents, np.arange(count))
-    smallest = np.full(count, count)
+    roots = _roots(parents, distinct)
+    smallest = np.full(size, count)
     np.minimum.at(smallest, roots, order)
     keys = smallest[roots]
     grouped = np.argsort(keys, kind="stable")
@@ -357,11 +364,12 @@ class SpectrumSet:
     earliest input contributing to ``values[i]`` (None when not supplied).
 
     Clustering is single linkage, repeated on the cluster means until no two
-    means link.  Each round is a numpy sweep: sort by (real, imag), take each
-    value's window of later values whose real part is within the threshold,
-    test the candidate pairs at most 2**14 at a time, and join the linked ones
-    by union-find on index arrays, so scratch memory stays bounded however
-    large a cluster is.  Each mean sums its members in (real, imag) order.
+    means link.  Each round is a numpy sweep: sort by (real, imag), collapse
+    equal values, take each distinct value's window of later values whose real
+    part is within the threshold, test the candidate pairs at most 2**14 at a
+    time, and join the linked ones by union-find on index arrays, so scratch
+    memory stays bounded however large a cluster is.  Each mean sums its
+    members in (real, imag) order.
     """
 
     def __init__(

@@ -51,6 +51,9 @@ class TensorOperator:
         )
         self._edge_sign = -1.0 if self.kind == "laplacian" else 1.0
         self._diag = 0.0 if self.kind == "adjacency" else 1.0
+        # one row per full edge; (0, k) when there are only loop edges
+        edges = np.array(hypergraph.full_edges, dtype=np.intp)
+        self._edges = edges.reshape(-1, self.k)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate (T x^{k-1})_v for every vertex v."""
@@ -61,18 +64,14 @@ class TensorOperator:
             )
         x = x.astype(complex)
         y = self._diag * self.degrees * x ** (self.k - 1)
-        for edge in self.hypergraph.full_edges:
-            vals = [x[v] for v in edge]
-            # prefix/suffix products give each leave-one-out product in O(k)
-            size = len(vals)
-            prefix = [1.0 + 0j] * (size + 1)
-            for i in range(size):
-                prefix[i + 1] = prefix[i] * vals[i]
-            suffix = [1.0 + 0j] * (size + 1)
-            for i in range(size - 1, -1, -1):
-                suffix[i] = suffix[i + 1] * vals[i]
-            for i, v in enumerate(edge):
-                y[v] += self._edge_sign * prefix[i] * suffix[i + 1]
+        vals = x[self._edges]
+        ones = np.ones((len(vals), 1), dtype=complex)
+        # prefix/suffix products give each leave-one-out product in O(k);
+        # both start from 1 and multiply left to right, as a scalar loop would
+        prefix = np.cumprod(np.concatenate((ones, vals[:, :-1]), axis=1), axis=1)
+        suffix = np.cumprod(np.concatenate((ones, vals[:, :0:-1]), axis=1), axis=1)
+        # np.add.at adds in row-major order: edge by edge, member by member
+        np.add.at(y, self._edges, self._edge_sign * prefix * suffix[:, ::-1])
         return y
 
     def __repr__(self) -> str:

@@ -1,16 +1,21 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperspec.gauge import (
     ModularSystem,
+    _factorize,
+    _solve_prime_power,
     build_similarity_system,
     certificate_report,
     solve_mod_m,
 )
-from hyperspec.graphs import cycle_graph
+from hyperspec.graphs import LoopedGraph, cycle_graph
 from hyperspec.hypergraphs import Hypergraph, generalized_power, odd_bipartition
 from hyperspec.tensors import Gauge, verify_diagonal_similarity
 
@@ -24,13 +29,108 @@ def brute_solve(system):
     return None
 
 
-def make_system(m, coeff_rows, rhs):
-    nvars = max((len(row) for row in coeff_rows), default=0)
+def make_system(m, coeff_rows, rhs, nvars=None):
+    if nvars is None:
+        nvars = max((len(row) for row in coeff_rows), default=0)
     rows = tuple(
         (tuple((j, c % m) for j, c in enumerate(row) if c % m), r % m)
         for row, r in zip(coeff_rows, rhs)
     )
     return ModularSystem(m, nvars, rows)
+
+
+def reference_solve_prime_power(system, p, e):
+    """Oracle: the pure-Python list-of-lists elimination mod p^e.
+
+    The same minimal-valuation pivoting, saturation rows and back-substitution
+    as the array solver, one Python integer at a time.
+    """
+    q = p**e
+    nvars = system.variable_count
+    active = []
+    for row, r in system.rows:
+        dense = [0] * nvars
+        for var, c in row:
+            dense[var] = c % q
+        active.append(dense + [r % q])
+    pivots = []
+    for col in range(nvars):
+        best = None
+        for idx, row in enumerate(active):
+            a = row[col]
+            if a == 0:
+                continue
+            v = 0
+            while a % p == 0:
+                a //= p
+                v += 1
+            if best is None or v < best[1]:
+                best = (idx, v)
+        if best is None:
+            continue
+        idx, v = best
+        row = active.pop(idx)
+        inverse = pow(row[col] // p**v, -1, q)
+        row = [(x * inverse) % q for x in row]
+        if v > 0:
+            saturation = [(x * p ** (e - v)) % q for x in row]
+            if any(saturation[:nvars]):
+                active.append(saturation)
+            elif saturation[nvars] != 0:
+                return None
+        for other in active:
+            c = other[col]
+            if c:
+                t = c // p**v
+                for j in range(nvars + 1):
+                    other[j] = (other[j] - t * row[j]) % q
+        pivots.append((row, col, v))
+    for row in active:
+        if any(row[:nvars]):
+            raise AssertionError("elimination left a coefficient unprocessed")
+        if row[nvars] != 0:
+            return None
+    solution = [0] * nvars
+    for row, col, v in reversed(pivots):
+        s = row[nvars]
+        for j in range(col + 1, nvars):
+            if row[j]:
+                s -= row[j] * solution[j]
+        s %= q
+        if s % p**v:
+            return None
+        solution[col] = s // p**v
+    return solution
+
+
+def random_connected_graph(n, extra, rng):
+    """Random spanning tree plus ``extra`` further edges where room allows."""
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    target = min(n * (n - 1) // 2, n - 1 + extra)
+    while len(edges) < target:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return LoopedGraph(n, sorted(edges))
+
+
+MERSENNE_61 = 2**61 - 1
+# prime-power factors of each test modulus; 2^32 and 2^61 - 1 are past the
+# solver's int64 limit of 2^31 and run on Python integers, and the Mersenne
+# prime is factored by hand because trial division would not finish
+FACTORS = {m: _factorize(m) for m in (2, 4, 8, 9, 12, 24, 27, 49, 2**32)}
+FACTORS[2 * MERSENNE_61] = [(2, 1), (MERSENNE_61, 1)]
+
+
+@st.composite
+def modular_systems(draw):
+    m = draw(st.sampled_from(sorted(FACTORS)))
+    nvars = draw(st.integers(0, 6))
+    # small prime-power multiples make pivots of positive valuation
+    entry = st.one_of(
+        st.just(0), st.sampled_from([2, 3, 4, 6, 8, 9, 27]), st.integers(0, m - 1)
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars), max_size=8))
+    rhs = draw(st.lists(st.integers(0, m - 1), min_size=len(rows), max_size=len(rows)))
+    return make_system(m, rows, rhs, nvars)
 
 
 class TestBuildSimilaritySystem:
@@ -121,6 +221,54 @@ class TestSolveModM:
             total = sum(gauge.phases[v] for v in e) % m
             for v in e:
                 assert (total - k * gauge.phases[v]) % m == m // 2
+
+
+class TestSolverAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(modular_systems())
+    # the saturation row of the first pivot is the second pivot; minimal
+    # lifts alone would miss the solution
+    @example(make_system(8, [[4, 1], [0, 4]], [3, 4]))
+    # a saturation row with zero coefficients and a nonzero right-hand side
+    @example(make_system(4, [[2]], [1]))
+    # inconsistent only after elimination: the second saturation row is 0 = 2
+    @example(make_system(4, [[2, 0], [2, 2]], [0, 1]))
+    # zero rows, consistent and inconsistent, and no rows at all
+    @example(make_system(12, [[0, 0], [3, 4], [0, 0]], [0, 5, 0]))
+    @example(make_system(24, [[0, 0, 0], [1, 2, 3]], [7, 1]))
+    @example(make_system(9, [], [], 3))
+    @example(make_system(2 * MERSENNE_61, [[2, MERSENNE_61 + 5], [4, 1]], [6, 3]))
+    def test_random_systems(self, system):
+        for p, e in FACTORS[system.modulus]:
+            assert _solve_prime_power(system, p, e) == reference_solve_prime_power(
+                system, p, e
+            )
+
+    def test_similarity_systems_of_generalized_powers(self):
+        rng = random.Random(45)
+        for k in (4, 6, 8, 12):
+            for _ in range(3):
+                g = random_connected_graph(rng.randint(3, 7), rng.randint(0, 4), rng)
+                h, _ = generalized_power(g, k, k // 2)
+                for m in (2, k, 2 * k):
+                    system = build_similarity_system(h, m)
+                    for p, e in _factorize(m):
+                        assert _solve_prime_power(
+                            system, p, e
+                        ) == reference_solve_prime_power(system, p, e)
+
+    def test_solve_mod_m_memory_is_bounded(self):
+        g = random_connected_graph(60, 61, random.Random(46))
+        h, _ = generalized_power(g, 12, 6)
+        system = build_similarity_system(h, 24)
+        tracemalloc.start()
+        try:
+            gauge = solve_mod_m(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gauge is not None
+        assert peak < 6 * 2**20
 
 
 class TestCertificateReport:

@@ -102,6 +102,85 @@ class TestTensorApply:
             TensorOperator(h, "laplacian").apply(np.ones(5))
 
 
+class LoopTensorOperator(TensorOperator):
+    """Oracle: the same tensor applied by a scalar loop over the full edges."""
+
+    def apply(self, x):
+        x = np.asarray(x).astype(complex)
+        sign = -1.0 if self.kind == "laplacian" else 1.0
+        diag = 0.0 if self.kind == "adjacency" else 1.0
+        y = diag * self.degrees * x ** (self.k - 1)
+        for edge in self.hypergraph.full_edges:
+            vals = [x[v] for v in edge]
+            prefix = [1.0 + 0j] * (len(vals) + 1)
+            for i in range(len(vals)):
+                prefix[i + 1] = prefix[i] * vals[i]
+            suffix = [1.0 + 0j] * (len(vals) + 1)
+            for i in range(len(vals) - 1, -1, -1):
+                suffix[i] = suffix[i + 1] * vals[i]
+            for i, v in enumerate(edge):
+                y[v] += sign * prefix[i] * suffix[i + 1]
+        return y
+
+
+def looped_random_graph(n, extra, rng, loops=()):
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return LoopedGraph(n, sorted(edges), {v: 1 for v in loops})
+
+
+class TestApplyAgainstLoop:
+    # (k, s): half blow-ups with base loops, and blow-ups with edge vertices
+    SHAPES = ((3, 1), (4, 2), (4, 1), (8, 4), (8, 3), (12, 6))
+
+    def powers(self, seed):
+        rng = random.Random(seed)
+        for k, s in self.SHAPES:
+            loops = (0, 3) if 2 * s == k else ()
+            yield generalized_power(looped_random_graph(12, 8, rng, loops), k, s)[0]
+
+    def test_real_vectors_bit_identical(self):
+        rng = np.random.default_rng(5)
+        for h in self.powers(47):
+            for kind in ("adjacency", "laplacian", "signless"):
+                op, loop = TensorOperator(h, kind), LoopTensorOperator(h, kind)
+                for x in (rng.normal(size=h.vertex_count), rng.random(h.vertex_count)):
+                    assert np.array_equal(
+                        op.apply(x).view(float), loop.apply(x).view(float)
+                    )
+
+    def test_complex_vectors_agree_to_rounding(self):
+        # SIMD complex products may round differently from scalar ones
+        rng = np.random.default_rng(6)
+        for h in self.powers(48):
+            for kind in ("adjacency", "laplacian", "signless"):
+                op, loop = TensorOperator(h, kind), LoopTensorOperator(h, kind)
+                n = h.vertex_count
+                x = rng.normal(size=n) + 1j * rng.normal(size=n)
+                got, want = op.apply(x), loop.apply(x)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_loop_edges_only(self):
+        h = Hypergraph(4, 4, [(0, 1), (0, 1), (2,)])
+        x = np.array([0.5, -2.0, 3.0, 1.5])
+        for kind in ("adjacency", "laplacian", "signless"):
+            got = TensorOperator(h, kind).apply(x)
+            assert np.array_equal(got, LoopTensorOperator(h, kind).apply(x))
+        assert np.array_equal(
+            TensorOperator(h, "signless").apply(x), [2 * 0.125, 2 * -8.0, 27.0, 0.0]
+        )
+
+    def test_power_iteration_identical(self):
+        g = looped_random_graph(40, 30, random.Random(49))
+        h, _ = generalized_power(g, 8, 4)
+        got = nqz_power_iteration(TensorOperator(h, "signless"))
+        want = nqz_power_iteration(LoopTensorOperator(h, "signless"))
+        assert got.value == want.value
+        assert got.residual == want.residual
+        assert got.vector.tobytes() == want.vector.tobytes()
+
+
 class TestEigResidual:
     def test_degree_eigenpair_exact(self):
         h, _ = generalized_power(cycle_graph(3), 4, 2)

@@ -11,6 +11,7 @@ with saturation rows making back-substitution complete.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,8 +31,10 @@ __all__ = [
 class ModularSystem:
     """Linear congruences sum_j coeff_j * theta_j = rhs (mod modulus).
 
-    Rows store (variable, coefficient) pairs sorted by variable; coefficients
-    and right-hand sides are reduced mod the modulus.
+    Rows store (variable, coefficient) pairs with strictly increasing
+    variables in [0, variable_count); coefficients and right-hand sides are
+    reduced mod the modulus.  The solver rejects any other row with
+    ValueError.
     """
 
     modulus: int
@@ -80,20 +83,88 @@ def build_similarity_system(h: Hypergraph, m: int) -> ModularSystem:
 # -- solver -------------------------------------------------------------------
 
 
+# the first twelve primes: trial divisors, and Miller-Rabin bases that
+# decide primality exactly below 3.3e24
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, for odd n > 37.
+
+    Exact below 3.3e24; beyond that, a composite passing all twelve bases
+    would be taken for a prime.
+    """
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of an odd composite n with no factor up to 37.
+
+    Brent's cycle search on x -> x^2 + c, batching gcds over 128 steps and
+    retrying with the next c when a batch overshoots to n; deterministic.
+    The expected work grows like the square root of the smallest prime
+    factor.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, m, g, r, q = 2, 128, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _factorize(m: int) -> list[tuple[int, int]]:
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            factors.append((d, e))
-        d += 1
-    if m > 1:
-        factors.append((m, 1))
-    return factors
+    """Prime factorization of m >= 1 as ascending (prime, exponent) pairs.
+
+    Trial division by the first twelve primes, then Miller-Rabin and
+    Pollard-Brent on what is left.
+    """
+    counts: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
+    pending = [m] if m > 1 else []
+    while pending:
+        n = pending.pop()
+        if n < _SMALL_PRIMES[-1] ** 2 or _is_prime(n):
+            counts[n] = counts.get(n, 0) + 1
+        else:
+            d = _pollard_brent(n)
+            pending += [d, n // d]
+    return sorted(counts.items())
 
 
 def _valuation(a: int, p: int) -> int:
@@ -125,8 +196,14 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
     size = len(system.rows)
     dtype = np.int16 if q * q < 2**15 else np.int64 if q < 2**31 else object
     active = np.zeros((size + nvars, nvars + 1), dtype=dtype)
-    at = [i for i, (row, _) in enumerate(system.rows) for _ in row]
-    var = [v for row, _ in system.rows for v, _ in row]
+    at = np.array([i for i, (row, _) in enumerate(system.rows) for _ in row], np.intp)
+    var = np.array([v for row, _ in system.rows for v, _ in row], np.intp)
+    repeated = (at[1:] == at[:-1]) & (var[1:] <= var[:-1])
+    if var.size and (var.min() < 0 or var.max() >= nvars or repeated.any()):
+        raise ValueError(
+            "each row must name its variables in increasing order, "
+            f"without repeats, within [0, {nvars})"
+        )
     active[at, var] = [c % q for row, _ in system.rows for _, c in row]
     active[:size, nvars] = [r % q for _, r in system.rows]
     free = size
@@ -182,7 +259,9 @@ def solve_mod_m(system: ModularSystem) -> Gauge | None:
 
     Splits the modulus into prime powers, solves each component exactly and
     recombines by CRT.  Free variables are zero, so reruns agree bit for bit.
-    Absence of a solution is a definitive answer for this modulus.
+    Absence of a solution is a definitive answer for this modulus.  A row
+    whose variables do not strictly increase within [0, variable_count)
+    raises ValueError.
     """
     nvars = system.variable_count
     parts: list[tuple[list[int], int]] = []

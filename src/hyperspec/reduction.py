@@ -23,6 +23,7 @@ from hyperspec.linalg import (
     SpectrumSet,
     eig_complex_stack,
     eig_real_symmetric,
+    eig_real_symmetric_stack,
 )
 
 __all__ = [
@@ -245,52 +246,117 @@ def _plan_work(
 # matrix entries per eigensolver call; bounds the memory of one stack
 _STACK_ENTRIES = 1 << 16
 
+_Block = tuple[tuple[int, ...], list[tuple[int, ...]], np.ndarray]
 
-def _solve_plan(
-    g: LoopedGraph,
+
+def _solve_subset(
+    graph_degrees: np.ndarray,
+    graph_adjacency: np.ndarray,
     k: int,
     kind: str,
-    plan: list[tuple[tuple[int, ...], int]],
-    identity_only: bool = False,
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], np.ndarray]]:
-    """Build and solve the planned reduced matrices, one stack at a time.
+    subset: tuple[int, ...],
+    quota: int,
+) -> Iterator[_Block]:
+    """Build and solve the first ``quota`` phase classes of one subset.
 
-    Yields ``(subset, phases, values)``: consecutive phase classes of one
-    subset and the sorted eigenvalues of their matrices, one row per class.
-    A failed certificate re-raises ConvergenceError naming its witness.
+    Yields ``(subset, phases, values)`` one stack at a time: consecutive
+    phase classes and the sorted eigenvalues of their matrices, one row per
+    class.  A failed certificate re-raises ConvergenceError naming its
+    witness.
     """
-    graph_degrees, graph_adjacency = g.degree_vector(), g.adjacency_matrix()
-    for subset, quota in plan:
-        degrees, adjacency = _principal(graph_degrees, graph_adjacency, subset)
-        classes = itertools.islice(phase_classes(len(subset), k), quota)
-        batch = max(1, _STACK_ENTRIES // len(subset) ** 2)
-        while phases := list(itertools.islice(classes, batch)):
-            stack = _phased_matrices(degrees, adjacency, k, np.array(phases), kind)
-            try:
-                if identity_only:
-                    # one real symmetric matrix: the all-zero phase class
-                    pairs = eig_real_symmetric(stack[0].real)
-                    values = np.array([[p.value for p in pairs]])
-                else:
-                    values = eig_complex_stack(stack)[0]
-            except ConvergenceError as exc:
-                witness = f"subset {subset}, phases {phases[exc.index or 0]}"
-                raise ConvergenceError(f"{exc} at {witness}") from exc
-            yield subset, phases, values
+    degrees, adjacency = _principal(graph_degrees, graph_adjacency, subset)
+    classes = itertools.islice(phase_classes(len(subset), k), quota)
+    batch = max(1, _STACK_ENTRIES // len(subset) ** 2)
+    while phases := list(itertools.islice(classes, batch)):
+        stack = _phased_matrices(degrees, adjacency, k, np.array(phases), kind)
+        try:
+            values = eig_complex_stack(stack)[0]
+        except ConvergenceError as exc:
+            witness = f"subset {subset}, phases {phases[exc.index or 0]}"
+            raise ConvergenceError(f"{exc} at {witness}") from exc
+        yield subset, phases, values
+
+
+def _identity_stacks(
+    g: LoopedGraph, subsets: list[tuple[int, ...]], kind: str
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Identity-phase matrices of ``subsets``, stacked by subset size.
+
+    Yields ``(positions, stack)``: indices into ``subsets`` of one size and
+    their real matrices D[U] - A[U], D[U] + A[U] or A[U] (Laplacian, signless,
+    adjacency), at most ``_STACK_ENTRIES`` entries per stack.
+    """
+    degrees, adjacency = g.degree_vector(), g.adjacency_matrix()
+    by_size: dict[int, list[int]] = {}
+    for position, subset in enumerate(subsets):
+        by_size.setdefault(len(subset), []).append(position)
+    for size, positions in by_size.items():
+        batch = max(1, _STACK_ENTRIES // size**2)
+        for lo in range(0, len(positions), batch):
+            chunk = positions[lo : lo + batch]
+            index = np.array([subsets[p] for p in chunk])
+            stack = adjacency[index[:, :, None], index[:, None, :]]
+            if kind != "adjacency":
+                diag = np.zeros_like(stack)
+                diag[:, range(size), range(size)] = degrees[index]
+                stack = diag - stack if kind == "laplacian" else diag + stack
+            yield chunk, stack
+
+
+def _solve_identity(
+    g: LoopedGraph, kind: str, plan: list[tuple[tuple[int, ...], int]]
+) -> list[_Block]:
+    """The identity-phase slice: one real symmetric matrix per planned subset.
+
+    Subsets of one size share stacked solves; the blocks come back in plan
+    order, each with the all-zero phase class and a one-row value array.
+    """
+    subsets = [subset for subset, _ in plan]
+    values = [None] * len(subsets)
+    for positions, stack in _identity_stacks(g, subsets, kind):
+        try:
+            solved = eig_real_symmetric_stack(stack)[0]
+        except ConvergenceError as exc:
+            subset = subsets[positions[exc.index or 0]]
+            witness = f"subset {subset}, phases {(0,) * len(subset)}"
+            raise ConvergenceError(f"{exc} at {witness}") from exc
+        for position, row in zip(positions, solved):
+            values[position] = row[None]
+    return [(s, [(0,) * len(s)], v) for s, v in zip(subsets, values)]
+
+
+def _perron_bounds(
+    g: LoopedGraph, subsets: list[tuple[int, ...]], kind: str
+) -> np.ndarray:
+    """Perron majorant of every phase class of each subset.
+
+    Entrywise |D[U] -+ E A[U] E| = D[U] + A[U] and |E A[U] E| = A[U], so the
+    spectral radius of each reduced matrix of U is at most the largest
+    eigenvalue of that nonnegative symmetric matrix.  A stack whose
+    certificate fails bounds nothing: its subsets get +inf.
+    """
+    majorant = "adjacency" if kind == "adjacency" else "signless"
+    bounds = np.full(len(subsets), np.inf)
+    for positions, stack in _identity_stacks(g, subsets, majorant):
+        try:
+            bounds[positions] = eig_real_symmetric_stack(stack)[0][:, -1]
+        except ConvergenceError:
+            continue
+    return bounds
 
 
 class _Witnesses(Sequence):
     """The witness of every enumerated eigenvalue, built only when read.
 
-    Indexes the eigenvalues of the solved blocks row by row, in the order
-    ``_solve_plan`` yields them; dedup reads one witness per cluster.
+    Indexes the eigenvalues of the solved blocks row by row, in plan order;
+    dedup reads one witness per cluster.
     """
 
     def __init__(
         self,
         k: int,
         kind: str,
-        blocks: list[tuple[tuple[int, ...], list[tuple[int, ...]], np.ndarray]],
+        blocks: list[_Block],
     ) -> None:
         self._k, self._kind, self._blocks = k, kind, blocks
         self._ends = list(itertools.accumulate(v.size for _, _, v in blocks))
@@ -320,7 +386,15 @@ def _spectrum_report(
 ) -> SpectrumReport:
     kind = normalize_kind(kind)
     plan, complete, used = _plan_work(g, k, max_subset, budget, identity_only)
-    blocks = list(_solve_plan(g, k, kind, plan, identity_only))
+    if identity_only:
+        blocks = _solve_identity(g, kind, plan)
+    else:
+        matrices = g.degree_vector(), g.adjacency_matrix()
+        blocks = [
+            block
+            for subset, quota in plan
+            for block in _solve_subset(*matrices, k, kind, subset, quota)
+        ]
     values = np.concatenate([v.ravel() for _, _, v in blocks]) if blocks else []
     witnesses = _Witnesses(k, kind, blocks)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
@@ -384,30 +458,55 @@ def rho_power(
     """Spectral radius of the chosen tensor of the half blow-up of ``g``.
 
     The maximum eigenvalue modulus over the full reduction.  Ties within
-    ``tie_tol`` (relative) resolve to the lexicographically smallest
-    (|U|, U, phases) witness; among that matrix's top-modulus eigenvalues the
-    one with nonnegative imaginary part is preferred.
+    ``tie_tol`` (relative, in [0, 1)) resolve to the lexicographically
+    smallest (|U|, U, phases) witness; among that matrix's top-modulus
+    eigenvalues the one with nonnegative imaginary part is preferred.
+    ``budget_used`` counts the planned matrices.
+
+    Not every planned matrix is eigensolved.  Entrywise |D[U] - E A[U] E| =
+    D[U] + A[U], so beta(U) = rho(D[U] + A[U]) (rho(A[U]) for the adjacency
+    kind) bounds every phase class of U.  Subsets are visited in descending
+    beta, ties in plan order, and the visit stops at the first subset with
+    beta + 1e-8 max(1, beta) below the tie threshold
+    top - tie_tol max(1, top).  The threshold only rises, so no later subset
+    can reach it; the maximum and the tied set (every row at or above the
+    final threshold, with its witness the minimum of unique keys) do not
+    depend on the visiting order.  A computed eigenvalue is an exact
+    eigenvalue of M + E with |E| about n eps |M|, so its modulus is at most
+    rho(|M| + |E|) <= beta + O(n eps |M|), far inside the 1e-8 margin (which
+    also absorbs the rounding of beta), even for defective M.  The result is therefore the one of the unpruned
+    enumeration; pruned matrices are covered by the certified bound instead
+    of per-pair residuals.
     """
     kind = normalize_kind(kind)
+    if not 0 <= tie_tol < 1:
+        raise ValueError("tie_tol must lie in [0, 1)")
     plan, complete, used = _plan_work(g, k, max_subset, budget)
+    bounds = _perron_bounds(g, [subset for subset, _ in plan], kind)
+    matrices = g.degree_vector(), g.adjacency_matrix()
     top = -np.inf
     tied: list[tuple[float, ReductionWitness]] = []
-    for subset, phases, values in _solve_plan(g, k, kind, plan):
-        # np.hypot rounds exactly like abs() on a Python complex
-        moduli = np.hypot(values.real, values.imag)
-        tops = moduli.max(axis=1)
-        top = max(top, float(tops.max()))
-        threshold = top - tie_tol * max(1.0, top)
-        tied = [entry for entry in tied if entry[0] >= threshold]
-        for i in np.flatnonzero(tops >= threshold):
-            row_top = float(tops[i])
-            near = moduli[i] >= row_top - tie_tol * max(1.0, row_top)
-            nonneg = near & (values[i].imag >= 0)
-            # rows are sorted by (real, imag): the first hit is the minimum
-            j = np.flatnonzero(nonneg if nonneg.any() else near)[0]
-            assign = PhaseAssignment(k, phases[i])
-            witness = ReductionWitness(subset, assign, kind, complex(values[i, j]))
-            tied.append((row_top, witness))
+    for position in np.argsort(-bounds, kind="stable"):
+        bound = float(bounds[position])
+        if bound + 1e-8 * max(1.0, bound) < top - tie_tol * max(1.0, top):
+            break
+        subset, quota = plan[position]
+        for _, phases, values in _solve_subset(*matrices, k, kind, subset, quota):
+            # np.hypot rounds exactly like abs() on a Python complex
+            moduli = np.hypot(values.real, values.imag)
+            tops = moduli.max(axis=1)
+            top = max(top, float(tops.max()))
+            threshold = top - tie_tol * max(1.0, top)
+            tied = [entry for entry in tied if entry[0] >= threshold]
+            for i in np.flatnonzero(tops >= threshold):
+                row_top = float(tops[i])
+                near = moduli[i] >= row_top - tie_tol * max(1.0, row_top)
+                nonneg = near & (values[i].imag >= 0)
+                # rows are sorted by (real, imag): the first hit is the minimum
+                j = np.flatnonzero(nonneg if nonneg.any() else near)[0]
+                assign = PhaseAssignment(k, phases[i])
+                witness = ReductionWitness(subset, assign, kind, complex(values[i, j]))
+                tied.append((row_top, witness))
     if not tied:
         raise ValueError("reduction produced no matrices")
     witness = min(

@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperspec.cli import main
 from hyperspec.gauge import (
     ModularSystem,
     _factorize,
@@ -16,7 +19,12 @@ from hyperspec.gauge import (
     solve_mod_m,
 )
 from hyperspec.graphs import LoopedGraph, cycle_graph
-from hyperspec.hypergraphs import Hypergraph, generalized_power, odd_bipartition
+from hyperspec.hypergraphs import (
+    Hypergraph,
+    generalized_power,
+    odd_bipartition,
+    to_canonical_json,
+)
 from hyperspec.tensors import Gauge, verify_diagonal_similarity
 
 
@@ -114,10 +122,10 @@ def random_connected_graph(n, extra, rng):
 
 MERSENNE_61 = 2**61 - 1
 # prime-power factors of each test modulus; 2^32 and 2^61 - 1 are past the
-# solver's int64 limit of 2^31 and run on Python integers, and the Mersenne
-# prime is factored by hand because trial division would not finish
-FACTORS = {m: _factorize(m) for m in (2, 4, 8, 9, 12, 24, 27, 49, 2**32)}
-FACTORS[2 * MERSENNE_61] = [(2, 1), (MERSENNE_61, 1)]
+# solver's int64 limit of 2^31 and run on Python integers
+FACTORS = {
+    m: _factorize(m) for m in (2, 4, 8, 9, 12, 24, 27, 49, 2**32, 2 * MERSENNE_61)
+}
 
 
 @st.composite
@@ -177,6 +185,20 @@ class TestBuildSimilaritySystem:
 
 
 class TestSolveModM:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ((0, 1), (0, 1)),  # names variable 0 twice
+            ((1, 1), (0, 1)),  # variables out of order
+            ((-1, 1),),  # would address the right-hand side column
+            ((1, 1),),  # past the last variable
+        ],
+    )
+    def test_malformed_rows_are_rejected(self, row):
+        system = ModularSystem(4, 1, ((row, 2),))
+        with pytest.raises(ValueError):
+            solve_mod_m(system)
+
     def test_inconsistent_row(self):
         system = make_system(4, [[0]], [1])
         assert solve_mod_m(system) is None
@@ -221,6 +243,52 @@ class TestSolveModM:
             total = sum(gauge.phases[v] for v in e) % m
             for v in e:
                 assert (total - k * gauge.phases[v]) % m == m // 2
+
+
+def trial_division(m):
+    """Oracle: prime factorization by trial division."""
+    factors = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return sorted(factors.items())
+
+
+class TestFactorize:
+    def test_small_moduli_against_trial_division(self):
+        rng = random.Random(47)
+        moduli = list(range(1, 3000)) + [rng.randrange(2, 10**9) for _ in range(200)]
+        for m in moduli:
+            assert _factorize(m) == trial_division(m)
+
+    def test_large_prime_factors_finish_quickly(self):
+        cases = {
+            2 * MERSENNE_61: [(2, 1), (MERSENNE_61, 1)],
+            (10**9 + 7) * (10**9 + 9): [(10**9 + 7, 1), (10**9 + 9, 1)],
+            (2**31 - 1) ** 2 * 3**5: [(3, 5), (2**31 - 1, 2)],
+            2**89 - 1: [(2**89 - 1, 1)],
+        }
+        for m, want in cases.items():
+            start = time.perf_counter()
+            assert _factorize(m) == want
+            assert time.perf_counter() - start < 1.0
+
+    def test_certificate_at_a_modulus_with_a_large_prime_factor(self, tmp_path):
+        h, halfmap = generalized_power(cycle_graph(3), 4, 2)
+        path = tmp_path / "c3-k4.json"
+        path.write_text(to_canonical_json(h, halfmap))
+        out = tmp_path / "cert.json"
+        moduli = f"4,{2 * MERSENNE_61}"
+        args = ["certificate", "--input", str(path), "--moduli", moduli]
+        assert main(args + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload["moduli"]) == {"4", str(2 * MERSENNE_61)}
+        assert payload["moduli"]["4"]["solvable"]
 
 
 class TestSolverAgainstReference:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspec.graphs import (
     LoopedGraph,
@@ -246,3 +248,52 @@ class TestValidation:
     def test_rejects_negative_loops(self):
         with pytest.raises(ValueError):
             LoopedGraph(2, [], {0: -1})
+
+
+# tokens stay small: a parsed vertex count is allocated per vertex
+_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(["", "x", "1.5", "0x1", "+2", "-0", "1e3", "\u0663", "\t"]),
+)
+
+
+@st.composite
+def loop_free_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return LoopedGraph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A valid edge list with up to two lines replaced, dropped or repeated."""
+    lines = format_edge_list(draw(loop_free_graphs())).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if action == "replace":
+            lines[at] = " ".join(draw(st.lists(_TOKENS, max_size=3)))
+        elif action == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        if not lines:
+            break
+    return draw(st.sampled_from(["\n", "\r\n", "\n\n"])).join(lines)
+
+
+class TestEdgeListFuzz:
+    @settings(max_examples=200)
+    @given(st.one_of(st.text(), edge_list_texts()))
+    def test_any_text_parses_or_raises_value_error(self, text):
+        try:
+            g = parse_edge_list(text)
+        except ValueError:
+            return
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    @given(loop_free_graphs())
+    def test_format_round_trips(self, g):
+        text = format_edge_list(g)
+        assert parse_edge_list(text) == g
+        assert format_edge_list(parse_edge_list(text)) == text

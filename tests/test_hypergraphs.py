@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspec.graphs import LoopedGraph, cycle_graph, path_graph
 from hyperspec.hypergraphs import (
@@ -238,3 +240,63 @@ class TestJson:
     def test_half_edge_keys_must_be_contiguous(self):
         with pytest.raises(ValueError, match="keys"):
             from_json_dict({"n": 4, "k": 4, "edges": [], "half_edges": {"0": [0, 1], "2": [2, 3]}})
+
+
+# integers stay small: a parsed vertex count is allocated per vertex
+_SMALL = st.integers(-2, 9)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | _SMALL | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def power_hypergraphs(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = LoopedGraph(n, [e for e in pairs if draw(st.booleans())])
+    k = draw(st.sampled_from([4, 6]))
+    return generalized_power(g, k, draw(st.integers(1, k // 2)))
+
+
+@st.composite
+def hypergraph_payloads(draw):
+    """Valid hypergraph JSON with up to two members or entries corrupted."""
+    payload = json.loads(to_canonical_json(*draw(power_hypergraphs())))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["n", "k", "edges", "half_edges"]))
+        action = draw(st.sampled_from(["replace", "drop", "edge", "vertex"]))
+        if action == "replace":
+            payload[key] = draw(_SMALL | _JSON)
+        elif action == "drop":
+            payload.pop(key, None)
+        elif action == "edge" and isinstance(payload.get("edges"), list):
+            payload["edges"].append(draw(st.lists(_SMALL, max_size=6)))
+        elif action == "vertex" and payload.get("edges"):
+            edge = draw(st.sampled_from(payload["edges"]))
+            if isinstance(edge, list) and edge:
+                edge[draw(st.integers(0, len(edge) - 1))] = draw(_SMALL | _JSON)
+    return payload
+
+
+class TestJsonFuzz:
+    @settings(max_examples=200)
+    @given(st.one_of(_JSON, hypergraph_payloads()))
+    def test_any_json_parses_or_raises_value_error(self, payload):
+        try:
+            h, halfmap = from_json_dict(payload)
+        except ValueError:
+            return
+        again = from_json_dict(json.loads(to_canonical_json(h, halfmap)))
+        assert again == (h, halfmap)
+
+    @given(power_hypergraphs())
+    def test_canonical_json_round_trips(self, power):
+        h, halfmap = power
+        text = to_canonical_json(h, halfmap)
+        h2, halfmap2 = from_json_dict(json.loads(text))
+        assert h2 == h
+        assert halfmap2.half_edges == halfmap.half_edges
+        assert to_canonical_json(h2, halfmap2) == text

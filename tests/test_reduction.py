@@ -3,11 +3,14 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperspec import linalg
+from hyperspec import linalg, reduction
 from hyperspec.graphs import (
     LoopedGraph,
     complete_graph,
@@ -19,6 +22,9 @@ from hyperspec.linalg import (
     ConvergenceError,
     SpectrumSet,
     eig_complex_pairs,
+    eig_complex_stack,
+    eig_real_symmetric,
+    eig_real_symmetric_stack,
     spectral_radius,
 )
 from hyperspec.reduction import (
@@ -410,26 +416,48 @@ class TestKindNames:
         assert d["eigenvalue"] == [2.0, 1.0]
 
 
-def _one_matrix_at_a_time(g, k, kind):
-    """spectrum_power and rho_power JSON rebuilt from reduced_matrix + eig_complex_pairs."""
+def _one_matrix_at_a_time(g, k, kind, max_subset=8, budget=10**6, tie_tol=1e-9):
+    """spectrum_power, h_spectrum_power and rho_power JSON, rebuilt one matrix
+    at a time from reduced_matrix and the one-matrix solvers: no stacks and
+    no pruning.  The budget takes matrices in subset order, as planned."""
     values, witnesses, entries = [], [], []
-    for subset in connected_subsets(g, g.vertex_count):
+    h_values, h_witnesses, h_used = [], [], 0
+    complete = h_complete = g.vertex_count <= max_subset
+    for subset in connected_subsets(g, min(g.vertex_count, max_subset)):
+        identity = PhaseAssignment(k, (0,) * len(subset))
+        if h_used == budget:
+            h_complete = False
+        else:
+            h_used += 1
+            matrix = reduced_matrix(g, k, subset, identity.phases, kind).real
+            for p in eig_real_symmetric(matrix):
+                h_values.append(p.value)
+                h_witnesses.append(ReductionWitness(subset, identity, kind, p.value))
         for phases in phase_classes(len(subset), k):
+            if len(entries) == budget:
+                complete = False
+                break
             pairs = eig_complex_pairs(reduced_matrix(g, k, subset, phases, kind))
             assign = PhaseAssignment(k, phases)
             for p in pairs:
                 values.append(p.value)
                 witnesses.append(ReductionWitness(subset, assign, kind, p.value))
             top = max(abs(p.value) for p in pairs)
-            near = [p.value for p in pairs if abs(p.value) >= top - 1e-9 * max(1.0, top)]
+            near = [p.value for p in pairs if abs(p.value) >= top - tie_tol * max(1.0, top)]
             pick = min([v for v in near if v.imag >= 0] or near, key=lambda v: (v.real, v.imag))
             entries.append((top, ReductionWitness(subset, assign, kind, pick)))
     used = len(entries)
-    spectrum = SpectrumReport(kind, k, SpectrumSet(values, witnesses=witnesses), True, used)
+    spectrum = SpectrumReport(
+        kind, k, SpectrumSet(values, witnesses=witnesses), complete, used
+    )
+    h_spectrum = SpectrumReport(
+        kind, k, SpectrumSet(h_values, witnesses=h_witnesses), h_complete, h_used
+    )
     top = max(t for t, _ in entries)
-    tied = [w for t, w in entries if t >= top - 1e-9 * max(1.0, top)]
+    tied = [w for t, w in entries if t >= top - tie_tol * max(1.0, top)]
     witness = min(tied, key=lambda w: (len(w.subset), w.subset, w.phase.phases))
-    return spectrum.to_json_dict(), RhoResult(top, witness, True, used).to_json_dict()
+    rho = RhoResult(top, witness, complete, used)
+    return spectrum.to_json_dict(), h_spectrum.to_json_dict(), rho.to_json_dict()
 
 
 def _canonical(payload):
@@ -443,7 +471,7 @@ class TestBatchedEngine:
         "g", [cycle_graph(3), cycle_graph(5), complete_graph(4)], ids=["C3", "C5", "K4"]
     )
     def test_matches_one_matrix_at_a_time(self, g, k, kind):
-        spectrum, rho = _one_matrix_at_a_time(g, k, kind)
+        spectrum, _, rho = _one_matrix_at_a_time(g, k, kind)
         assert _canonical(spectrum_power(g, k, kind).to_json_dict()) == _canonical(spectrum)
         assert _canonical(rho_power(g, k, kind).to_json_dict()) == _canonical(rho)
 
@@ -462,3 +490,122 @@ class TestBatchedEngine:
         if compute is not h_spectrum_power:
             with pytest.raises(ConvergenceError):
                 eig_complex_pairs(reduced_matrix(g, 4, subset, phases))
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return LoopedGraph(10, outer + spokes + inner)
+
+
+# the oracle solves every planned matrix one at a time, so at default
+# settings the vertex count is capped per k to stay near 4000 matrices
+_ORACLE_VERTICES = {4: 6, 6: 6, 8: 5, 10: 4}
+
+
+@st.composite
+def connected_graphs(draw, max_vertices):
+    """A random labelled spanning tree plus random further edges."""
+    n = draw(st.integers(2, max_vertices))
+    label = draw(st.permutations(range(n)))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = {
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u, v) not in tree and draw(st.booleans())
+    }
+    return LoopedGraph(n, [(label[u], label[v]) for u, v in sorted(tree | extra)])
+
+
+class TestPrunedAndStackedSolves:
+    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    @pytest.mark.parametrize("setting", ["default", "budget", "max_subset"])
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_rho_and_h_spectrum_match_the_unpruned_oracle(self, k, setting, data):
+        max_vertices = _ORACLE_VERTICES[k] if setting == "default" else 6
+        g = data.draw(connected_graphs(max_vertices), label="graph")
+        kind = data.draw(st.sampled_from(["adjacency", "laplacian", "signless"]))
+        options = {}
+        if setting == "budget":
+            options["budget"] = data.draw(st.integers(1, 300), label="budget")
+        elif setting == "max_subset":
+            options["max_subset"] = data.draw(st.integers(1, 3), label="max_subset")
+        # wide tie bands make the witness depend on subsets below the maximum
+        tie_tol = data.draw(st.sampled_from([1e-9, 0.05, 0.5]), label="tie_tol")
+        _, h_spectrum, rho = _one_matrix_at_a_time(
+            g, k, kind, tie_tol=tie_tol, **options
+        )
+        got_h = h_spectrum_power(g, k, kind, **options).to_json_dict()
+        got_rho = rho_power(g, k, kind, **options, tie_tol=tie_tol).to_json_dict()
+        assert _canonical(got_h) == _canonical(h_spectrum)
+        assert _canonical(got_rho) == _canonical(rho)
+
+    def test_rho_solves_only_subsets_that_can_reach_the_maximum(self, monkeypatch):
+        rows = []
+
+        def counting(ms, *args, **kwargs):
+            rows.append(len(ms))
+            return eig_complex_stack(ms, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "eig_complex_stack", counting)
+        result = rho_power(cycle_graph(5), 8, "laplacian")
+        # rho = rho(Q) = 4 is reached on the whole cycle; every proper subset
+        # is a path with majorant 2 + 2 cos(pi / (|U| + 1)) < 4
+        assert result.value == pytest.approx(4.0, abs=1e-9)
+        assert sum(rows) == 4**5 == 1024
+        assert result.budget_used == 2724 and result.complete
+
+    def test_uncertified_majorants_prune_nothing(self, monkeypatch):
+        g = complete_graph(4)
+        want = rho_power(g, 6, "laplacian").to_json_dict()
+        rows = []
+
+        def counting(ms, *args, **kwargs):
+            rows.append(len(ms))
+            return eig_complex_stack(ms, *args, **kwargs)
+
+        def failing(ms, *args, **kwargs):
+            raise ConvergenceError("uncertified", index=0)
+
+        monkeypatch.setattr(reduction, "eig_complex_stack", counting)
+        monkeypatch.setattr(reduction, "eig_real_symmetric_stack", failing)
+        got = rho_power(g, 6, "laplacian").to_json_dict()
+        assert _canonical(got) == _canonical(want)
+        assert sum(rows) == got["budget_used"]
+
+    def test_tie_tolerance_outside_the_unit_interval_is_rejected(self):
+        for tie_tol in (-1e-9, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                rho_power(cycle_graph(3), 4, "laplacian", tie_tol=tie_tol)
+
+    def test_identity_stacks_split_at_the_entry_cap(self, monkeypatch):
+        g = _petersen()
+        whole = h_spectrum_power(g, 4, "laplacian", max_subset=10).to_json_dict()
+        shapes = []
+
+        def recording(ms, *args, **kwargs):
+            shapes.append(ms.shape)
+            return eig_real_symmetric_stack(ms, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "_STACK_ENTRIES", 100)
+        monkeypatch.setattr(reduction, "eig_real_symmetric_stack", recording)
+        chunked = h_spectrum_power(g, 4, "laplacian", max_subset=10).to_json_dict()
+        assert _canonical(chunked) == _canonical(whole)
+        assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
+        assert sum(n for n, _, _ in shapes) == len(list(connected_subsets(g, 10)))
+        assert len(shapes) > 10
+
+    def test_petersen_h_spectrum_memory_is_bounded(self):
+        g = _petersen()
+        tracemalloc.start()
+        try:
+            report = h_spectrum_power(g, 4, "laplacian", max_subset=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.complete and report.budget_used == 568
+        # about 0.8 MiB when measured, most of it the witnesses and the dedup
+        assert peak < 1.5 * 2**20

@@ -31,7 +31,6 @@ from hyperspec.linalg import (
     ConvergenceError,
     EigenPair,
     SpectrumSet,
-    eig_complex_dense,
     eig_complex_pairs,
     eig_real_symmetric,
     power_iteration_nonneg,
@@ -87,7 +86,6 @@ __all__ = [
     "ConvergenceError",
     "EigenPair",
     "SpectrumSet",
-    "eig_complex_dense",
     "eig_complex_pairs",
     "eig_real_symmetric",
     "power_iteration_nonneg",

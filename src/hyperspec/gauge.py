@@ -3,10 +3,11 @@
 A unit-modulus diagonal with phases that are m-th roots of unity conjugates
 the Laplacian tensor into the signless one exactly when the phases solve, for
 every edge e and member i, sum of phases over e minus k times the phase of i
-equals half the modulus, mod m.  At m = 2 this degenerates to the
-odd-bipartiteness system.  Solving is exact integer arithmetic: CRT split of
-the modulus into prime powers, minimal-valuation elimination per component,
-with saturation rows making back-substitution complete.
+equals half the modulus, mod m.  At m = 2 this is the odd-bipartiteness
+system, which ``hypergraphs.odd_bipartition`` solves here.  Solving is exact
+integer arithmetic: CRT split of the modulus into prime powers,
+minimal-valuation elimination per component, with saturation rows making
+back-substitution complete.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ def build_similarity_system(h: Hypergraph, m: int) -> ModularSystem:
     One system serves both similarities (Laplacian to signless, adjacency to
     its negation): each imposes the same edgewise sign flip.  The offset is
     m/2, so the modulus must be even.
+
+    The k congruences of an edge, sum over e minus k times member i, differ
+    only by k times a difference of two members.  So each edge e with first
+    member f gets one row sum_e theta - k theta_f = m/2 and, unless m divides
+    k, the rows k (theta_v - theta_f) = 0 for v in e[1:]: a unimodular change
+    of rows with the same solutions.  At m = 2 this is the GF(2)
+    odd-bipartiteness system, one row per edge.
     """
     if m < 2 or m % 2:
         raise ValueError("the similarity offset m/2 needs an even modulus")
@@ -71,12 +79,10 @@ def build_similarity_system(h: Hypergraph, m: int) -> ModularSystem:
         raise ValueError("similarity systems need a uniform hypergraph")
     k = h.k
     rows = []
-    for edge in h.full_edges:
-        for i in edge:
-            coeffs = {v: 1 for v in edge}
-            coeffs[i] = (1 - k) % m
-            row = tuple(sorted((v, c % m) for v, c in coeffs.items()))
-            rows.append((row, m // 2))
+    for f, *rest in h.full_edges:
+        rows.append((((f, (1 - k) % m),) + tuple((v, 1) for v in rest), m // 2))
+        if k % m:
+            rows.extend((((f, -k % m), (v, k % m)), 0) for v in rest)
     return ModularSystem(m, h.vertex_count, tuple(rows))
 
 

@@ -22,7 +22,14 @@ __all__ = [
     "complete_graph",
     "parse_edge_list",
     "format_edge_list",
+    "MAX_VERTEX_COUNT",
 ]
+
+# Largest vertex count the parsers accept.  Graphs and hypergraphs allocate
+# per-vertex lists, so a file's count is checked against this cap before any
+# allocation; a power hypergraph of a graph at the cap (k/2 vertices per base
+# vertex) is far beyond what the enumerations or the tensor layer can handle.
+MAX_VERTEX_COUNT = 1 << 20
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -267,6 +274,8 @@ def parse_edge_list(text: str) -> LoopedGraph:
     n, m = _int_pair(lines[0], "header 'n m'")
     if n < 0 or m < 0:
         raise ValueError(f"header 'n m' needs nonnegative counts, got {lines[0]!r}")
+    if n > MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {n} exceeds the cap {MAX_VERTEX_COUNT}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

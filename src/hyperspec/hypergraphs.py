@@ -13,14 +13,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from hyperspec.graphs import LoopedGraph
+from hyperspec.graphs import MAX_VERTEX_COUNT, LoopedGraph
 
 __all__ = [
     "Hypergraph",
     "HalfEdgeMap",
     "generalized_power",
     "odd_bipartition",
-    "solve_gf2",
     "to_canonical_json",
     "from_json_dict",
 ]
@@ -166,59 +165,26 @@ def generalized_power(g: LoopedGraph, k: int, s: int) -> tuple[Hypergraph, HalfE
 # -- odd-bipartiteness -------------------------------------------------------
 
 
-def solve_gf2(rows: list[int], rhs: list[int], nvars: int) -> int | None:
-    """One solution of a linear system over GF(2), or None.
-
-    Rows are bit-packed coefficient masks.  Free variables are set to zero, so
-    the witness is deterministic.
-    """
-    aug = [row | (r & 1) << nvars for row, r in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    cur = 0
-    for col in range(nvars):
-        pivot = None
-        for r in range(cur, len(aug)):
-            if (aug[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[cur], aug[pivot] = aug[pivot], aug[cur]
-        for r in range(len(aug)):
-            if r != cur and (aug[r] >> col) & 1:
-                aug[r] ^= aug[cur]
-        pivots.append((cur, col))
-        cur += 1
-    for r in range(cur, len(aug)):
-        if aug[r]:
-            return None
-    solution = 0
-    for r, col in pivots:
-        if (aug[r] >> nvars) & 1:
-            solution |= 1 << col
-    return solution
-
-
 def odd_bipartition(h: Hypergraph) -> tuple[int, ...] | None:
     """A vertex set meeting every edge in an odd count, or None when impossible.
 
-    Defined only for loop-free even-uniform hypergraphs; anything else is
-    rejected rather than guessed at.
+    The set is {v : x_v = 1} for the solution of the similarity system at
+    modulus 2, whose row for edge e reads sum_e x = 1 over GF(2); free
+    variables are zero, so the witness is deterministic.  Defined only for
+    loop-free even-uniform hypergraphs; anything else is rejected rather than
+    guessed at.
     """
     if h.k % 2:
         raise ValueError("odd-bipartiteness needs an even edge rank")
     if not h.is_uniform:
         raise ValueError("odd-bipartiteness needs a uniform, loop-free hypergraph")
-    rows = []
-    for e in h.edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        rows.append(mask)
-    solution = solve_gf2(rows, [1] * len(rows), h.vertex_count)
+    # the gauge layer builds on this module, so it is imported on use
+    from hyperspec.gauge import build_similarity_system, solve_mod_m
+
+    solution = solve_mod_m(build_similarity_system(h, 2))
     if solution is None:
         return None
-    return tuple(v for v in range(h.vertex_count) if (solution >> v) & 1)
+    return tuple(v for v, x in enumerate(solution.phases) if x)
 
 
 # -- JSON wire format --------------------------------------------------------
@@ -258,6 +224,8 @@ def from_json_dict(payload: dict) -> tuple[Hypergraph, HalfEdgeMap | None]:
         raise ValueError(f"hypergraph JSON is missing key {exc}") from exc
     if type(n) is not int or type(k) is not int:
         raise ValueError("hypergraph JSON n and k must be integers")
+    if n > MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {n} exceeds the cap {MAX_VERTEX_COUNT}")
     h = Hypergraph(n, k, _vertex_lists(edges, "edges"))
     halfmap = None
     if "half_edges" in payload:

@@ -23,7 +23,6 @@ __all__ = [
     "eig_real_symmetric_stack",
     "eig_complex_pairs",
     "eig_complex_stack",
-    "eig_complex_dense",
     "spectral_radius",
     "power_iteration_nonneg",
 ]
@@ -223,14 +222,6 @@ def eig_complex_pairs(m: np.ndarray, cap: int = COMPLEX_CAP) -> list[EigenPair]:
         vec.flags.writeable = False
         pairs.append(EigenPair(complex(values[0, j]), vec, float(residuals[0, j])))
     return pairs
-
-
-def eig_complex_dense(
-    m: np.ndarray, dedup_tol: float = DEFAULT_DEDUP_TOL, cap: int = COMPLEX_CAP
-) -> "SpectrumSet":
-    """Deduplicated spectrum of a general complex matrix."""
-    pairs = eig_complex_pairs(m, cap=cap)
-    return SpectrumSet(values=[p.value for p in pairs], dedup_tol=dedup_tol)
 
 
 def spectral_radius(m: np.ndarray, cap: int = COMPLEX_CAP) -> float:

@@ -38,6 +38,11 @@ NQZ_RESIDUAL_TOL = 1e-8
 NQZ_BUDGET = 100_000
 
 
+def _edge_array(h: Hypergraph) -> np.ndarray:
+    """One row of members per full edge; shape (0, k) with only loop edges."""
+    return np.array(h.full_edges, dtype=np.intp).reshape(-1, h.k)
+
+
 class TensorOperator:
     """Adjacency, Laplacian or signless Laplacian tensor, applied edgewise."""
 
@@ -51,9 +56,7 @@ class TensorOperator:
         )
         self._edge_sign = -1.0 if self.kind == "laplacian" else 1.0
         self._diag = 0.0 if self.kind == "adjacency" else 1.0
-        # one row per full edge; (0, k) when there are only loop edges
-        edges = np.array(hypergraph.full_edges, dtype=np.intp)
-        self._edges = edges.reshape(-1, self.k)
+        self._edges = _edge_array(hypergraph)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate (T x^{k-1})_v for every vertex v."""
@@ -325,18 +328,18 @@ def verify_diagonal_similarity(
     if len(gauge.phases) != h.vertex_count:
         raise ValueError("gauge must cover every vertex")
     m = gauge.modulus
-    # diagonal entries carry no gauge phase, so the degree pattern must match
-    for v in range(h.vertex_count):
-        if h.degree(v) and _DIAG_COEFF[from_kind] != sign * _DIAG_COEFF[to_kind]:
-            return False
+    # diagonal entries carry no gauge phase, so the degree pattern must match;
+    # every vertex of an edge has positive degree
+    if h.edges and _DIAG_COEFF[from_kind] != sign * _DIAG_COEFF[to_kind]:
+        return False
     edge_sign_flip = _EDGE_COEFF[from_kind] != sign * _EDGE_COEFF[to_kind]
     if edge_sign_flip and m % 2:
         raise ValueError("a sign flip needs an even gauge modulus")
     offset = m // 2 if edge_sign_flip else 0
     k = h.k
-    for edge in h.full_edges:
-        total = sum(gauge.phases[v] for v in edge)
-        for v in edge:
-            if (total - k * gauge.phases[v]) % m != offset:
-                return False
-    return True
+    # every intermediate is below k m in magnitude: int64 is exact while
+    # (k+1) m < 2^63, Python integers beyond
+    dtype = np.int64 if (k + 1) * m < 2**63 else object
+    members = np.array(gauge.phases, dtype=dtype)[_edge_array(h)]
+    totals = members.sum(axis=1, keepdims=True)
+    return bool(((totals - k * members) % m == offset).all())

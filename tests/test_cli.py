@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import hyperspec
 from hyperspec.cli import main
-from hyperspec.graphs import cycle_graph, format_edge_list
+from hyperspec.graphs import MAX_VERTEX_COUNT, cycle_graph, format_edge_list
+from hyperspec.hypergraphs import from_json_dict
 
 
 @pytest.fixture
@@ -430,3 +437,54 @@ class TestCertificateCommand:
         payload["half_edges"] = {"0": [0, 1], "2": [7, 9]}
         power.write_text(json.dumps(payload))
         assert run_cli(["certificate", "--input", str(power)]) == 2
+
+
+class TestVertexCountCap:
+    @pytest.mark.parametrize("count", [2**64, MAX_VERTEX_COUNT + 1])
+    def test_edge_list_header_past_the_cap(self, tmp_path, capsys, count):
+        path = tmp_path / "huge.edges"
+        path.write_text(f"{count} 0\n")
+        tracemalloc.start()
+        try:
+            code = run_cli(["spectrum", "--input", str(path), "--k", "4"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("count", [2**64, MAX_VERTEX_COUNT + 1])
+    def test_hypergraph_json_n_past_the_cap(self, tmp_path, capsys, count):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": count, "k": 4, "edges": []}))
+        tracemalloc.start()
+        try:
+            code = run_cli(["certificate", "--input", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert peak < 2**20
+
+    def test_the_cap_itself_is_accepted(self):
+        h, _ = from_json_dict({"n": MAX_VERTEX_COUNT, "k": 4, "edges": []})
+        assert h.vertex_count == MAX_VERTEX_COUNT
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_main(self, triangle_file, capsys):
+        assert run_cli(["spectrum", "--input", triangle_file, "--k", "4"]) == 0
+        want = capsys.readouterr().out.encode()
+        src = str(Path(hyperspec.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "hyperspec", "spectrum", "--input", triangle_file, "--k", "4"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == want

@@ -184,6 +184,86 @@ class TestBuildSimilaritySystem:
             build_similarity_system(Hypergraph(4, 4, [(0, 1, 2, 3), (0, 1)]), 4)
 
 
+def full_similarity_system(h, m):
+    """Oracle: k rows per edge, sum over e minus k theta_i = m/2 for each member i."""
+    k = h.k
+    rows = []
+    for edge in h.full_edges:
+        for i in edge:
+            coeffs = {v: 1 for v in edge}
+            coeffs[i] = (1 - k) % m
+            rows.append((tuple(sorted((v, c % m) for v, c in coeffs.items())), m // 2))
+    return ModularSystem(m, h.vertex_count, tuple(rows))
+
+
+@st.composite
+def uniform_hypergraphs(draw):
+    """Random k-uniform hypergraphs with few spare vertices, so edges overlap."""
+    k = draw(st.sampled_from([4, 6, 8, 12]))
+    n = draw(st.integers(k, k + 5))
+    members = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    edges = draw(st.lists(members.map(lambda e: tuple(sorted(e))), max_size=7, unique=True))
+    return Hypergraph(n, k, edges)
+
+
+@st.composite
+def relabelled_powers(draw):
+    """Half powers G^{k,k/2} of small graphs, vertices shuffled.
+
+    A half power is odd-bipartite exactly when G is bipartite, so these
+    supply the unsolvable systems that random hypergraphs rarely give.
+    """
+    k = draw(st.sampled_from([4, 6, 8, 12]))
+    n = draw(st.integers(3, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = LoopedGraph(n, draw(st.lists(st.sampled_from(pairs), min_size=3, unique=True)))
+    h, _ = generalized_power(g, k, k // 2)
+    perm = draw(st.permutations(range(h.vertex_count)))
+    return Hypergraph(h.vertex_count, k, [[perm[v] for v in e] for e in h.edges])
+
+
+@st.composite
+def similarity_cases(draw):
+    h = draw(st.one_of(uniform_hypergraphs(), relabelled_powers()))
+    k = h.k
+    # 4 and 6 neither divide nor are divided by some ranks (6 and k=4, 8; 4 and k=6)
+    m = draw(st.sampled_from([2, 4, 6, k, 2 * k, 3 * k]))
+    return h, m
+
+
+class TestLeanSimilaritySystem:
+    @settings(max_examples=300)
+    @given(similarity_cases())
+    # C3 and C5 powers: certificates at m = k and 2k for k = 4, none at k = 6
+    @example((generalized_power(cycle_graph(3), 4, 2)[0], 8))
+    @example((generalized_power(cycle_graph(5), 6, 3)[0], 12))
+    @example((generalized_power(cycle_graph(3), 6, 3)[0], 18))
+    def test_same_solutions_as_the_full_system(self, case):
+        h, m = case
+        lean_system = build_similarity_system(h, m)
+        full_system = full_similarity_system(h, m)
+        rows_per_edge = 1 if h.k % m == 0 else h.k
+        assert len(lean_system.rows) == rows_per_edge * len(h.full_edges)
+        lean = solve_mod_m(lean_system)
+        full = solve_mod_m(full_system)
+        assert (lean is None) == (full is None)
+        if lean is not None:
+            assert full_system.satisfied_by(lean.phases)
+            assert lean_system.satisfied_by(full.phases)
+
+    @settings(max_examples=100)
+    @given(uniform_hypergraphs())
+    def test_m2_is_one_parity_row_per_edge(self, h):
+        system = build_similarity_system(h, 2)
+        assert system.rows == tuple(
+            (tuple((v, 1) for v in e), 1) for e in h.full_edges
+        )
+        part = odd_bipartition(h)
+        if part is not None:
+            for e in h.full_edges:
+                assert sum(1 for v in e if v in part) % 2 == 1
+
+
 class TestSolveModM:
     @pytest.mark.parametrize(
         "row",

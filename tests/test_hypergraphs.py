@@ -13,7 +13,6 @@ from hyperspec.hypergraphs import (
     from_json_dict,
     generalized_power,
     odd_bipartition,
-    solve_gf2,
     to_canonical_json,
 )
 
@@ -147,6 +146,11 @@ class TestOddBipartition:
         part = odd_bipartition(h)
         assert part is not None and len(part) % 2 == 1
 
+    def test_free_vertices_stay_outside(self):
+        # x0 + x1 + x2 + x3 = 1 pivots on x0; the free x1..x5 are zero
+        assert odd_bipartition(Hypergraph(6, 4, [(0, 1, 2, 3)])) == (0,)
+        assert odd_bipartition(Hypergraph(3, 2, [])) == ()
+
     def test_rejects_odd_rank(self):
         with pytest.raises(ValueError):
             odd_bipartition(Hypergraph(3, 3, [(0, 1, 2)]))
@@ -194,14 +198,6 @@ class TestOddBipartition:
         got = odd_bipartition(h)
         want = brute_odd_bipartition(h)
         assert (got is None) == (want is None)
-
-
-class TestSolveGF2:
-    def test_inconsistent(self):
-        assert solve_gf2([0b0], [1], 1) is None
-
-    def test_free_variables_zeroed(self):
-        assert solve_gf2([0b01], [1], 2) == 0b01
 
 
 class TestJson:

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperspec.graphs import LoopedGraph, cycle_graph, path_graph
+from hyperspec.gauge import build_similarity_system, solve_mod_m
 from hyperspec.hypergraphs import Hypergraph, generalized_power
 from hyperspec.linalg import ConvergenceError, eig_real_symmetric, power_iteration_nonneg
 from hyperspec.reduction import reduced_matrix
@@ -463,3 +466,75 @@ class TestVerifyDiagonalSimilarity:
         h, _ = generalized_power(g, 4, 2)
         gauge = Gauge(4, (0,) * 6)
         assert not verify_diagonal_similarity(h, "laplacian", "signless", -1, gauge)
+
+
+KINDS = ("adjacency", "laplacian", "signless")
+MERSENNE_61 = 2**61 - 1
+
+
+def scalar_verify(h, from_kind, to_kind, sign, gauge):
+    """Oracle: the entrywise similarity check, one vertex and one incidence at a time."""
+    diag = {"adjacency": 0, "laplacian": 1, "signless": 1}
+    edge = {"adjacency": 1, "laplacian": -1, "signless": 1}
+    for v in range(h.vertex_count):
+        if h.degree(v) and diag[from_kind] != sign * diag[to_kind]:
+            return False
+    flip = edge[from_kind] != sign * edge[to_kind]
+    m = gauge.modulus
+    if flip and m % 2:
+        raise ValueError("a sign flip needs an even gauge modulus")
+    for e in h.full_edges:
+        total = sum(gauge.phases[v] for v in e)
+        for v in e:
+            if (total - h.k * gauge.phases[v]) % m != (m // 2 if flip else 0):
+                return False
+    return True
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def gauged_hypergraphs(draw):
+    """A hypergraph, loop edges allowed, with a random, constant or certifying gauge.
+
+    Certifying gauges scale a modulus-2 solution by m/2, so they pass the sign
+    flip at every even m, 2 (2^61 - 1) included, whose products need Python
+    integers.
+    """
+    k = draw(st.sampled_from([3, 4, 6, 8]))
+    n = draw(st.integers(k, k + 4))
+    members = st.lists(st.integers(0, n - 1), min_size=1, max_size=k, unique=True)
+    edges = draw(st.lists(members.map(lambda e: tuple(sorted(e))), max_size=6, unique=True))
+    h = Hypergraph(n, k, edges)
+    m = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24, MERSENNE_61, 2 * MERSENNE_61]))
+    flavour = draw(st.sampled_from(["random", "constant", "certifying"]))
+    phases = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    if flavour == "constant":
+        phases = [phases[0]] * n
+    elif flavour == "certifying" and m % 2 == 0 and k % 2 == 0 and h.is_uniform:
+        solution = solve_mod_m(build_similarity_system(h, 2))
+        if solution is not None:
+            phases = [p * (m // 2) for p in solution.phases]
+    return h, Gauge(m, tuple(phases))
+
+
+class TestVectorisedVerification:
+    @settings(max_examples=300)
+    @given(gauged_hypergraphs())
+    # a certifying gauge with five phases 2^61 - 1 on one edge: the edge sum
+    # passes 2^63, where int64 arithmetic would wrap
+    @example((Hypergraph(6, 6, [range(6)]), Gauge(2 * MERSENNE_61, (MERSENNE_61,) * 5 + (0,))))
+    def test_matches_the_scalar_oracle(self, case):
+        h, gauge = case
+        for from_kind in KINDS:
+            for to_kind in KINDS:
+                for sign in (1, -1):
+                    args = (h, from_kind, to_kind, sign, gauge)
+                    assert outcome(verify_diagonal_similarity, *args) == outcome(
+                        scalar_verify, *args
+                    )

@@ -190,18 +190,21 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
     with those rows present, zeroing free variables and taking minimal lifts
     during back-substitution can never miss a solvable system.
 
-    The rows live in one integer array, followed by a free slot for each
-    saturation row a pivot can add, so array order is the order in which rows
-    joined.  A pivot row leaves by being zeroed.  The pivot of a column is the
-    first row of least p^v = gcd(a, q); gcd(0, q) = q marks rows without the
-    column.  The dtype holds every intermediate exactly: int16 while
-    q^2 < 2^15, int64 while q < 2^31, Python integers beyond.
+    Rows whose coefficients are all zero mod q never pivot and never change,
+    so they are checked (a nonzero right-hand side makes the system
+    unsolvable) and dropped before elimination.  The other rows live in one
+    integer array, followed by a free slot for each saturation row a pivot
+    can add, so array order is the order in which rows joined.  Column scans
+    cover only the rows that have joined.  A pivot row leaves by being
+    zeroed.  The pivot of a column is the first row of least p^v = gcd(a, q);
+    gcd(0, q) = q marks rows without the column.  The dtype holds every
+    intermediate exactly: int16 while q^2 < 2^15, int64 while q < 2^31,
+    Python integers beyond.
     """
     q = p**e
     nvars = system.variable_count
     size = len(system.rows)
     dtype = np.int16 if q * q < 2**15 else np.int64 if q < 2**31 else object
-    active = np.zeros((size + nvars, nvars + 1), dtype=dtype)
     at = np.array([i for i, (row, _) in enumerate(system.rows) for _ in row], np.intp)
     var = np.array([v for row, _ in system.rows for v, _ in row], np.intp)
     repeated = (at[1:] == at[:-1]) & (var[1:] <= var[:-1])
@@ -210,12 +213,22 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
             "each row must name its variables in increasing order, "
             f"without repeats, within [0, {nvars})"
         )
-    active[at, var] = [c % q for row, _ in system.rows for _, c in row]
-    active[:size, nvars] = [r % q for _, r in system.rows]
-    free = size
+    coeffs = np.array([c % q for row, _ in system.rows for _, c in row], dtype=dtype)
+    rhs = np.array([r % q for _, r in system.rows], dtype=dtype)
+    live = np.zeros(size, dtype=bool)
+    live[at[coeffs != 0]] = True
+    if (rhs[~live] != 0).any():
+        return None
+    free = int(live.sum())
+    if not free:
+        return [0] * nvars
+    active = np.zeros((free + nvars, nvars + 1), dtype=dtype)
+    keep = live[at]
+    active[(np.cumsum(live) - 1)[at[keep]], var[keep]] = coeffs[keep]
+    active[:free, nvars] = rhs[live]
     pivots: list[tuple[list[int], int, int]] = []
     for col in range(nvars):
-        gcds = np.gcd(active[:, col], q)
+        gcds = np.gcd(active[:free, col], q)
         idx = int(np.argmin(gcds))
         pivot = int(gcds[idx])
         if pivot == q:
@@ -232,11 +245,11 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
             elif saturation[nvars] != 0:
                 return None
         # every remaining entry in this column has valuation >= v
-        hit = np.flatnonzero(active[:, col] != 0)
+        hit = np.flatnonzero(active[:free, col] != 0)
         t = active[hit, col] // pivot
         active[hit, col:] = (active[hit, col:] - t[:, None] * row[col:]) % q
         pivots.append((row.tolist(), col, v))
-    left = np.flatnonzero((active != 0).any(axis=1))
+    left = np.flatnonzero((active[:free] != 0).any(axis=1))
     if left.size:
         if (active[left[0], :nvars] != 0).any():
             raise AssertionError("elimination left a coefficient unprocessed")

@@ -196,6 +196,11 @@ class TestSpectrumCommand:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
+    def test_tolerance_below_the_dedup_floor_is_an_input_error(self, triangle_file, capsys):
+        code = run_cli(["spectrum", "--input", triangle_file, "--k", "4", "--tol", "1e-15"])
+        assert code == 2
+        assert "dedup_tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--parallel", "--seed"])
     def test_removed_flags_are_rejected(self, triangle_file, flag):
         with pytest.raises(SystemExit) as exc:
@@ -473,18 +478,29 @@ class TestVertexCountCap:
         assert h.vertex_count == MAX_VERTEX_COUNT
 
 
+def run_module(module, argv):
+    """stdout of ``python -m <module> <argv>`` run on this checkout's package."""
+    src = str(Path(hyperspec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_matches_main(self, triangle_file, capsys):
         assert run_cli(["spectrum", "--input", triangle_file, "--k", "4"]) == 0
         want = capsys.readouterr().out.encode()
-        src = str(Path(hyperspec.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "hyperspec", "spectrum", "--input", triangle_file, "--k", "4"],
-            capture_output=True,
-            env=env,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == want
+        assert run_module("hyperspec", ["spectrum", "--input", triangle_file, "--k", "4"]) == want
+
+    def test_cli_module_matches_package_module(self, triangle_file):
+        argv = ["spectrum", "--input", triangle_file, "--k", "4"]
+        want = run_module("hyperspec", argv)
+        assert want
+        assert run_module("hyperspec.cli", argv) == want

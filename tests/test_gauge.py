@@ -419,6 +419,55 @@ class TestSolverAgainstReference:
         assert peak < 6 * 2**20
 
 
+class TestZeroRows:
+    """Rows whose coefficients all vanish mod one prime power of the modulus."""
+
+    @pytest.mark.parametrize(
+        "system, mod3",
+        [
+            # zero mod 3 but not mod 8, ahead of and between live rows
+            (
+                make_system(
+                    24, [[3, 6, 9], [1, 2, 0], [12, 0, 21], [0, 5, 1]], [9, 5, 6, 7]
+                ),
+                [1, 2, 0],
+            ),
+            # zero mod 3 with a nonzero right-hand side: unsolvable mod 3 only
+            (make_system(24, [[3, 0], [1, 1]], [1, 0]), None),
+            # every row zero mod 3, so zeros solve the 3-component
+            (make_system(24, [[3, 6], [9, 15]], [6, 3]), [0, 0]),
+            # zero mod 4 from the start, next to a positive-valuation pivot
+            (make_system(12, [[8, 0], [2, 3]], [4, 1]), [2, 0]),
+        ],
+    )
+    def test_matches_reference_and_brute_force(self, system, mod3):
+        assert _solve_prime_power(system, 3, 1) == mod3
+        for p, e in FACTORS[system.modulus]:
+            assert _solve_prime_power(system, p, e) == reference_solve_prime_power(
+                system, p, e
+            )
+        gauge = solve_mod_m(system)
+        want = brute_solve(system)
+        assert (gauge is None) == (want is None)
+        if gauge is not None:
+            assert system.satisfied_by(gauge.phases)
+
+    def test_zero_rows_on_python_integers(self):
+        # rows zero mod 2^61 - 1 only, on the object-array path
+        system = make_system(
+            2 * MERSENNE_61, [[MERSENNE_61, 0], [1, 2], [0, 3 * MERSENNE_61]], [0, 2, 1]
+        )
+        assert _solve_prime_power(system, MERSENNE_61, 1) is None
+        system = make_system(
+            2 * MERSENNE_61, [[MERSENNE_61, 0], [1, 2], [0, 3 * MERSENNE_61]], [0, 2, 0]
+        )
+        for p, e in FACTORS[system.modulus]:
+            assert _solve_prime_power(system, p, e) == reference_solve_prime_power(
+                system, p, e
+            )
+        assert system.satisfied_by(solve_mod_m(system).phases)
+
+
 class TestCertificateReport:
     def test_triangle_half_blowup(self):
         h, _ = generalized_power(cycle_graph(3), 4, 2)

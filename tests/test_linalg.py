@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperspec import reduction
+from hyperspec import linalg, reduction
 from hyperspec.graphs import cycle_graph
 from hyperspec.linalg import (
+    MIN_DEDUP_TOL,
     ConvergenceError,
     SpectrumSet,
     eig_complex_pairs,
@@ -393,6 +394,178 @@ class TestSpectrumSetAgainstReference:
         assert report.spectrum.witnesses == s.witnesses
 
 
+def nudge(x, ulps):
+    """x moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+def cell_edge(x, side, shift, j):
+    """The edge of the j-th cell past x on the clustering grid, in value units."""
+    return (math.floor(x / side + shift) + j - shift) * side
+
+
+@st.composite
+def cell_edge_inputs(draw):
+    # 8.0 is the largest modulus, so the threshold is exactly 8 * dedup_tol;
+    # coordinates sit on integers, on multiples of half the threshold and on
+    # the grid's cell edges, each moved by up to one ulp
+    dedup_tol = draw(st.sampled_from([1 / 8, 3 / 64, 1e-3, 1e-8, MIN_DEDUP_TOL]))
+    threshold = 8 * dedup_tol
+    side = threshold * linalg._SIDE
+
+    def coordinate(base, shift):
+        kind = draw(st.sampled_from(["integer", "half", "edge"]))
+        j = draw(st.integers(-4, 4))
+        if kind == "integer":
+            x = float(base)
+        elif kind == "half":
+            x = base + j * threshold / 2
+        else:
+            x = cell_edge(base, side, shift, j)
+        return nudge(x, draw(st.integers(-1, 1)))
+
+    count = draw(st.integers(0, 30))
+    values = [
+        complex(
+            coordinate(draw(st.integers(0, 3)), linalg._SHIFT[0]),
+            coordinate(draw(st.integers(-2, 2)), linalg._SHIFT[1]),
+        )
+        for _ in range(count)
+    ]
+    values.insert(draw(st.integers(0, count)), 8.0 + 0j)
+    return values, dedup_tol
+
+
+class TestGridAdversarial:
+    """Inputs placed against the cells of the clustering grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_edge_inputs(), st.booleans())
+    def test_cell_edges(self, case, attach):
+        values, dedup_tol = case
+        assert_matches_reference(values, dedup_tol, with_witnesses(values, attach))
+
+    @pytest.mark.parametrize("j", [-3, 0, 1, 5])
+    @pytest.mark.parametrize("base", [0, 1 + 1j, 3 - 2j])
+    def test_opposite_corners_of_one_cell(self, j, base):
+        # the ends of a cell's diagonal, 0.75 thresholds apart, must link;
+        # a point just over a threshold from a corner, along the diagonal,
+        # must not
+        dedup_tol = 1e-3
+        threshold = 8 * dedup_tol
+        side = threshold * linalg._SIDE
+        low = complex(
+            nudge(cell_edge(base.real, side, linalg._SHIFT[0], j), 1),
+            nudge(cell_edge(base.imag, side, linalg._SHIFT[1], j), 1),
+        )
+        high = complex(
+            nudge(cell_edge(base.real, side, linalg._SHIFT[0], j + 1), -1),
+            nudge(cell_edge(base.imag, side, linalg._SHIFT[1], j + 1), -1),
+        )
+        past = low + threshold * (1 + 1e-9) * complex(1, 1) / math.sqrt(2)
+        for pair, clusters in (([low, high], 1), ([low, past], 2)):
+            values = pair + [8.0 + 0j]
+            s = assert_matches_reference(values, dedup_tol, with_witnesses(values, True))
+            assert len(s) == clusters + 1
+
+    @pytest.mark.parametrize("j", [-2, -1, 0, 1])
+    @pytest.mark.parametrize("axis", [1, 1j])
+    def test_farthest_linked_pair_from_a_cell_edge(self, j, axis):
+        # x just below a cell edge and the largest y with fl(y - x) at most
+        # the threshold: y - x itself exceeds the threshold, and they link
+        dedup_tol = 1 / 64
+        threshold = 8 * dedup_tol
+        side = threshold * linalg._SIDE
+        shift = linalg._SHIFT[0] if axis == 1 else linalg._SHIFT[1]
+        x = nudge(cell_edge(0.0, side, shift, j), -1)
+        y = x + threshold
+        while nudge(y, 1) - x <= threshold:
+            y = nudge(y, 1)
+        values = [x * axis, y * axis, 8.0 + 0j]
+        s = assert_matches_reference(values, dedup_tol, None)
+        assert len(s) == 2
+
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 2, math.pi / 4, 0.52, 2.9])
+    @pytest.mark.parametrize("stretch, clusters", [(1 - 1e-9, 1), (1 + 1e-9, 200)])
+    def test_chain_across_cells(self, angle, stretch, clusters):
+        # 200 values a step just under (or over) the threshold apart cross
+        # about 400 cells; inside the unit disc the threshold is dedup_tol
+        dedup_tol = 1e-3
+        step = dedup_tol * stretch * complex(math.cos(angle), math.sin(angle))
+        values = [0.1 - 0.1j + i * step for i in range(200)]
+        s = assert_matches_reference(values, dedup_tol, with_witnesses(values, True))
+        assert len(s) == clusters
+
+    @pytest.mark.parametrize("spread", [0.2, 1.0])
+    def test_cluster_straddling_a_cell_corner(self, spread):
+        # 3000 values scattered around the corner of four cells near 2 + 0j;
+        # 4.0 is the largest modulus, so the threshold is exactly 4 * dedup_tol
+        dedup_tol = 1e-8
+        threshold = 4 * dedup_tol
+        side = threshold * linalg._SIDE
+        corner = complex(
+            cell_edge(2.0, side, linalg._SHIFT[0], 0),
+            cell_edge(0.0, side, linalg._SHIFT[1], 0),
+        )
+        rng = np.random.default_rng(11)
+        noise = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+        values = (corner + spread * side * noise).tolist() + [4.0 + 0j]
+        cells = {
+            (
+                math.floor(v.real / side + linalg._SHIFT[0]),
+                math.floor(v.imag / side + linalg._SHIFT[1]),
+            )
+            for v in values[:-1]
+        }
+        assert len(cells) >= 4
+        assert_matches_reference(values, dedup_tol, with_witnesses(values, False))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0, 2 * math.pi),
+                st.floats(-10, 10),
+                st.integers(1, 5),
+                st.integers(0, 2**32 - 1),
+            ),
+            max_size=10,
+        ),
+        st.sampled_from([1e-8, 1e-12, MIN_DEDUP_TOL]),
+        st.sampled_from([0.3, 1.0, 3.0]),
+        st.booleans(),
+    )
+    def test_magnitudes_near_a_million(self, centres, dedup_tol, jitter, attach):
+        # copies of centres of modulus about 1e6, jittered on the scale of
+        # the threshold (about 1e6 * dedup_tol), so links are borderline
+        values = []
+        for angle, offset, copies, seed in centres:
+            rng = random.Random(seed)
+            centre = (1e6 + offset) * complex(math.cos(angle), math.sin(angle))
+            spread = jitter * 1e6 * dedup_tol
+            values += [
+                centre + complex(rng.gauss(0, spread), rng.gauss(0, spread))
+                for _ in range(copies)
+            ]
+        random.Random(len(values)).shuffle(values)
+        assert_matches_reference(values, dedup_tol, with_witnesses(values, attach))
+
+    def test_smallest_tolerance_ulp_neighbours(self):
+        # at MIN_DEDUP_TOL the threshold is a few hundred ulps of the values
+        values = [nudge(1.0, i) + 0j for i in range(0, 600, 7)]
+        values += [complex(-3.0, nudge(1.5, i)) for i in range(0, 2000, 13)]
+        assert_matches_reference(values, MIN_DEDUP_TOL, with_witnesses(values, True))
+
+    @pytest.mark.parametrize(
+        "dedup_tol", [float(np.nextafter(MIN_DEDUP_TOL, 0)), 1e-15, -1.0, math.nan]
+    )
+    def test_rejects_tolerance_below_the_floor(self, dedup_tol):
+        with pytest.raises(ValueError, match="dedup_tol"):
+            SpectrumSet([1.0, 2.0], dedup_tol=dedup_tol)
+
+
 def test_one_large_cluster_dedups_in_bounded_memory():
     # 5000 values in one cluster make 12.5 million candidate pairs; they are
     # tested a chunk at a time, so scratch memory stays small
@@ -407,3 +580,22 @@ def test_one_large_cluster_dedups_in_bounded_memory():
         tracemalloc.stop()
     assert len(s) == 1
     assert peak < 8 * 2**20
+
+
+def test_unlinked_neighbouring_cells_dedup_in_bounded_memory():
+    # two tight clusters of 2000 values, 1.05 thresholds apart, sit in
+    # neighbouring cells whose 4 million point pairs must all be tested and
+    # fail; they are tested a chunk at a time, so scratch memory stays small
+    rng = np.random.default_rng(4)
+    noise = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    values = 0.5 + 1e-15 * noise
+    values[2000:] += 1.05e-8
+    values = values.tolist()
+    tracemalloc.start()
+    try:
+        s = SpectrumSet(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 2
+    assert peak < 2 * 2**20

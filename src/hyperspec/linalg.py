@@ -20,6 +20,7 @@ __all__ = [
     "EigenPair",
     "MIN_DEDUP_TOL",
     "SpectrumSet",
+    "check_dedup_tol",
     "eig_real_symmetric",
     "eig_real_symmetric_stack",
     "eig_complex_pairs",
@@ -462,6 +463,12 @@ def _means(grouped: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return means
 
 
+def check_dedup_tol(dedup_tol: float) -> None:
+    """Raise ValueError unless ``dedup_tol`` is at least ``MIN_DEDUP_TOL`` (NaN is not)."""
+    if not dedup_tol >= MIN_DEDUP_TOL:
+        raise ValueError(f"dedup_tol must be at least 2**-46 ({MIN_DEDUP_TOL:.3e})")
+
+
 class SpectrumSet:
     """Deduplicated complex eigenvalues with tolerance clustering and witnesses.
 
@@ -496,8 +503,7 @@ class SpectrumSet:
             raise ValueError("spectrum values must form a one-dimensional sequence")
         if witnesses is not None and len(witnesses) != len(points):
             raise ValueError("witnesses must pair one to one with values")
-        if not dedup_tol >= MIN_DEDUP_TOL:
-            raise ValueError(f"dedup_tol must be at least 2**-46 ({MIN_DEDUP_TOL:.3e})")
+        check_dedup_tol(dedup_tol)
         if not np.all(np.isfinite(points)):
             raise ValueError("spectrum values must be finite")
         self.dedup_tol = float(dedup_tol)

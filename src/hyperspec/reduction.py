@@ -21,6 +21,7 @@ from hyperspec.graphs import LoopedGraph, as_subset, connected_subsets
 from hyperspec.linalg import (
     ConvergenceError,
     SpectrumSet,
+    check_dedup_tol,
     eig_complex_stack,
     eig_real_symmetric,
     eig_real_symmetric_stack,
@@ -246,35 +247,93 @@ def _plan_work(
 # matrix entries per eigensolver call; bounds the memory of one stack
 _STACK_ENTRIES = 1 << 16
 
-_Block = tuple[tuple[int, ...], list[tuple[int, ...]], np.ndarray]
+# rows of phases, one row per class, and the sorted eigenvalues of each class
+_Block = tuple[tuple[int, ...], np.ndarray, np.ndarray]
 
 
-def _solve_subset(
-    graph_degrees: np.ndarray,
-    graph_adjacency: np.ndarray,
+def _class_phases(size: int, k: int, positions: Sequence[int]) -> np.ndarray:
+    """Phases of the classes at ``positions`` in ``phase_classes(size, k)``.
+
+    Class i spells i in base k/2, most significant digit first, which is the
+    lexicographic order of ``phase_classes``.  One row per position.
+    """
+    rest = np.asarray(positions, dtype=np.int64)
+    phases = np.empty((len(rest), size), dtype=np.int64)
+    for column in range(size - 1, -1, -1):
+        rest, phases[:, column] = np.divmod(rest, k // 2)
+    return phases
+
+
+def _class_stacks(
+    degrees: np.ndarray,
+    adjacency: np.ndarray,
+    k: int,
+    kind: str,
+    positions: Sequence[int],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Phases and reduced matrices of one subset's classes at ``positions``.
+
+    Yields ``(phases, stack)`` in the order of ``positions``, at most
+    ``_STACK_ENTRIES`` matrix entries per stack.
+    """
+    size = len(degrees)
+    batch = max(1, _STACK_ENTRIES // size**2)
+    for lo in range(0, len(positions), batch):
+        phases = _class_phases(size, k, positions[lo : lo + batch])
+        yield phases, _phased_matrices(degrees, adjacency, k, phases, kind)
+
+
+def _solve_classes(
+    degrees: np.ndarray,
+    adjacency: np.ndarray,
     k: int,
     kind: str,
     subset: tuple[int, ...],
-    quota: int,
+    positions: Sequence[int],
 ) -> Iterator[_Block]:
-    """Build and solve the first ``quota`` phase classes of one subset.
+    """Build and solve the phase classes at ``positions`` of one subset.
 
-    Yields ``(subset, phases, values)`` one stack at a time: consecutive
-    phase classes and the sorted eigenvalues of their matrices, one row per
-    class.  A failed certificate re-raises ConvergenceError naming its
-    witness.
+    ``degrees`` and ``adjacency`` are D[U] and A[U].  Yields
+    ``(subset, phases, values)`` one stack at a time: the classes' phases and
+    the sorted eigenvalues of their matrices, one row per class.  A failed
+    certificate re-raises ConvergenceError naming its witness.
     """
-    degrees, adjacency = _principal(graph_degrees, graph_adjacency, subset)
-    classes = itertools.islice(phase_classes(len(subset), k), quota)
-    batch = max(1, _STACK_ENTRIES // len(subset) ** 2)
-    while phases := list(itertools.islice(classes, batch)):
-        stack = _phased_matrices(degrees, adjacency, k, np.array(phases), kind)
+    for phases, stack in _class_stacks(degrees, adjacency, k, kind, positions):
         try:
             values = eig_complex_stack(stack)[0]
         except ConvergenceError as exc:
-            witness = f"subset {subset}, phases {phases[exc.index or 0]}"
+            witness = f"subset {subset}, phases {tuple(phases[exc.index or 0].tolist())}"
             raise ConvergenceError(f"{exc} at {witness}") from exc
         yield subset, phases, values
+
+
+# the slack delta of the per-class bounds (||M^8|| + delta ||M||^8)^(1/8);
+# rho_power derives it
+_GELFAND_SLACK = 1e-9
+
+
+def _gelfand_bounds(
+    degrees: np.ndarray, adjacency: np.ndarray, k: int, kind: str, quota: int
+) -> np.ndarray:
+    """(||M^8|| + delta ||M||^8)^(1/8) in the infinity norm for each of the
+    first ``quota`` phase classes of one subset, in class order.
+
+    M^8 comes from three stacked squarings with ``np.einsum``, which keeps
+    BLAS matmul buffers out of resident memory.  Overflow gives +inf.
+    """
+    bounds = np.empty(quota)
+    lo = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, stack in _class_stacks(degrees, adjacency, k, kind, range(quota)):
+            power = stack
+            for _ in range(3):
+                power = np.einsum("nij,njk->nik", power, power)
+            norms = np.abs(stack).sum(axis=2).max(axis=1)
+            power_norms = np.abs(power).sum(axis=2).max(axis=1)
+            slack = _GELFAND_SLACK * norms**8
+            bounds[lo : lo + len(stack)] = (power_norms + slack) ** (1 / 8)
+            lo += len(stack)
+    return bounds
 
 
 def _identity_stacks(
@@ -322,7 +381,7 @@ def _solve_identity(
             raise ConvergenceError(f"{exc} at {witness}") from exc
         for position, row in zip(positions, solved):
             values[position] = row[None]
-    return [(s, [(0,) * len(s)], v) for s, v in zip(subsets, values)]
+    return [(s, np.zeros((1, len(s)), np.int64), v) for s, v in zip(subsets, values)]
 
 
 def _perron_bounds(
@@ -371,7 +430,7 @@ class _Witnesses(Sequence):
         subset, phases, values = self._blocks[block]
         start = self._ends[block] - values.size
         row, col = divmod(int(index) - start, values.shape[1])
-        assign = PhaseAssignment(self._k, phases[row])
+        assign = PhaseAssignment(self._k, tuple(phases[row].tolist()))
         return ReductionWitness(subset, assign, self._kind, values[row, col].item())
 
 
@@ -385,6 +444,8 @@ def _spectrum_report(
     identity_only: bool,
 ) -> SpectrumReport:
     kind = normalize_kind(kind)
+    # a bad tolerance fails before the enumeration, not after it
+    check_dedup_tol(dedup_tol)
     plan, complete, used = _plan_work(g, k, max_subset, budget, identity_only)
     if identity_only:
         blocks = _solve_identity(g, kind, plan)
@@ -393,7 +454,9 @@ def _spectrum_report(
         blocks = [
             block
             for subset, quota in plan
-            for block in _solve_subset(*matrices, k, kind, subset, quota)
+            for block in _solve_classes(
+                *_principal(*matrices, subset), k, kind, subset, range(quota)
+            )
         ]
     values = np.concatenate([v.ravel() for _, _, v in blocks]) if blocks else []
     witnesses = _Witnesses(k, kind, blocks)
@@ -446,6 +509,46 @@ def lambda_max_laplacian(g: LoopedGraph, k: int) -> float:
     return float(eig_real_symmetric(g.laplacian_matrix())[-1].value)
 
 
+def _below(bound: float | np.ndarray, threshold: float):
+    """Whether a certified modulus bound stays short of the tie threshold.
+
+    The 1e-8 max(1, bound) margin absorbs the rounding of the bound and the
+    backward error of the eigensolver; see rho_power.
+    """
+    return bound + 1e-8 * np.maximum(1.0, bound) < threshold
+
+
+class _TopModulus:
+    """Running maximum eigenvalue modulus of rho_power and the rows tied with it."""
+
+    def __init__(self, k: int, kind: str, tie_tol: float) -> None:
+        self.k, self.kind, self.tie_tol = k, kind, tie_tol
+        self.top = -np.inf
+        self.tied: list[tuple[float, ReductionWitness]] = []
+
+    @property
+    def threshold(self) -> float:
+        return self.top - self.tie_tol * max(1.0, self.top)
+
+    def add(self, block: _Block) -> None:
+        subset, phases, values = block
+        # np.hypot rounds exactly like abs() on a Python complex
+        moduli = np.hypot(values.real, values.imag)
+        tops = moduli.max(axis=1)
+        self.top = max(self.top, float(tops.max()))
+        threshold = self.threshold
+        self.tied = [entry for entry in self.tied if entry[0] >= threshold]
+        for i in np.flatnonzero(tops >= threshold):
+            row_top = float(tops[i])
+            near = moduli[i] >= row_top - self.tie_tol * max(1.0, row_top)
+            nonneg = near & (values[i].imag >= 0)
+            # rows are sorted by (real, imag): the first hit is the minimum
+            j = np.flatnonzero(nonneg if nonneg.any() else near)[0]
+            assign = PhaseAssignment(self.k, tuple(phases[i].tolist()))
+            witness = ReductionWitness(subset, assign, self.kind, complex(values[i, j]))
+            self.tied.append((row_top, witness))
+
+
 def rho_power(
     g: LoopedGraph,
     k: int,
@@ -463,20 +566,46 @@ def rho_power(
     eigenvalues the one with nonnegative imaginary part is preferred.
     ``budget_used`` counts the planned matrices.
 
-    Not every planned matrix is eigensolved.  Entrywise |D[U] - E A[U] E| =
-    D[U] + A[U], so beta(U) = rho(D[U] + A[U]) (rho(A[U]) for the adjacency
-    kind) bounds every phase class of U.  Subsets are visited in descending
-    beta, ties in plan order, and the visit stops at the first subset with
-    beta + 1e-8 max(1, beta) below the tie threshold
-    top - tie_tol max(1, top).  The threshold only rises, so no later subset
-    can reach it; the maximum and the tied set (every row at or above the
-    final threshold, with its witness the minimum of unique keys) do not
-    depend on the visiting order.  A computed eigenvalue is an exact
-    eigenvalue of M + E with |E| about n eps |M|, so its modulus is at most
-    rho(|M| + |E|) <= beta + O(n eps |M|), far inside the 1e-8 margin (which
-    also absorbs the rounding of beta), even for defective M.  The result is therefore the one of the unpruned
-    enumeration; pruned matrices are covered by the certified bound instead
-    of per-pair residuals.
+    Not every planned matrix is eigensolved.  A certified bound b on the
+    computed eigenvalue moduli of a matrix prunes it when
+    b + 1e-8 max(1, b) lies below the tie threshold top - tie_tol max(1, top)
+    of the running maximum.  The threshold only rises, so a pruned matrix
+    cannot reach the final one either; the maximum and the tied set (every
+    row at or above the final threshold, with its witness the minimum of
+    unique keys) do not depend on the order of the solves.  The result is
+    therefore the one of the unpruned enumeration; pruned matrices are
+    covered by their certified bound instead of per-pair residuals.  Bounds
+    come at two levels.
+
+    Subsets.  Entrywise |D[U] - E A[U] E| = D[U] + A[U], so
+    beta(U) = rho(D[U] + A[U]) (rho(A[U]) for the adjacency kind) bounds
+    every phase class of U.  Subsets are visited in descending beta, ties in
+    plan order, and the visit stops at the first one that beta prunes.  A
+    computed eigenvalue is an exact eigenvalue of M + E with |E| about
+    n eps |M|, so its modulus is at most rho(|M| + |E|) <= beta + O(n eps |M|),
+    far inside the 1e-8 margin (which also absorbs the rounding of beta),
+    even for defective M.
+
+    Phase classes.  Each class M of a visited subset gets, in the infinity
+    norm, b(M) = (||C|| + delta ||M||^8)^(1/8) with C the computed M^8 (three
+    squarings) and delta = 1e-9.  Gelfand's bound rho(X)^8 <= ||X^8|| holds
+    for any X; take X = M + F, of which LAPACK's computed eigenvalues of M
+    are exact eigenvalues.  Then ||X^8|| <= ||M^8|| + (||M|| + ||F||)^8 -
+    ||M||^8, and two terms make up delta at n <= COMPLEX_CAP = 64 with unit
+    roundoff u = 2^-53.  The squarings: a complex inner product of length n
+    errs by at most g |x|^T |y| with g = (n + 2) u / (1 - (n + 2) u), in any
+    summation order, so three squarings give |C - M^8| <= ((1 + g)^7 - 1)
+    |M|^8, at most 5.2e-14 ||M||^8.  The eigensolver: the backward error of
+    the Hessenberg QR algorithm is ||F||_2 <= p(n) u ||M||_2 with p a modest
+    polynomial; with p(n) = n^2 and the norm equivalences,
+    ||F|| <= n^3 u ||M|| = 2^-35 ||M||, which adds at most
+    ((1 + 2^-35)^8 - 1) ||M||^8 < 2.4e-10 ||M||^8.  Their sum is below a
+    quarter of delta.  The rounding of the two norms, of the sum, of the root
+    and of each computed modulus are relative errors near n u, inside the
+    1e-8 margin.  The classes of a subset are solved in descending b, ties in
+    class order: the top-bound class alone, then, in class order, every
+    other class that the threshold reached after that solve does not prune.
+    A non-finite bound (overflow) prunes nothing in its subset.
     """
     kind = normalize_kind(kind)
     if not 0 <= tie_tol < 1:
@@ -484,35 +613,32 @@ def rho_power(
     plan, complete, used = _plan_work(g, k, max_subset, budget)
     bounds = _perron_bounds(g, [subset for subset, _ in plan], kind)
     matrices = g.degree_vector(), g.adjacency_matrix()
-    top = -np.inf
-    tied: list[tuple[float, ReductionWitness]] = []
+    found = _TopModulus(k, kind, tie_tol)
     for position in np.argsort(-bounds, kind="stable"):
-        bound = float(bounds[position])
-        if bound + 1e-8 * max(1.0, bound) < top - tie_tol * max(1.0, top):
+        if _below(bounds[position], found.threshold):
             break
         subset, quota = plan[position]
-        for _, phases, values in _solve_subset(*matrices, k, kind, subset, quota):
-            # np.hypot rounds exactly like abs() on a Python complex
-            moduli = np.hypot(values.real, values.imag)
-            tops = moduli.max(axis=1)
-            top = max(top, float(tops.max()))
-            threshold = top - tie_tol * max(1.0, top)
-            tied = [entry for entry in tied if entry[0] >= threshold]
-            for i in np.flatnonzero(tops >= threshold):
-                row_top = float(tops[i])
-                near = moduli[i] >= row_top - tie_tol * max(1.0, row_top)
-                nonneg = near & (values[i].imag >= 0)
-                # rows are sorted by (real, imag): the first hit is the minimum
-                j = np.flatnonzero(nonneg if nonneg.any() else near)[0]
-                assign = PhaseAssignment(k, phases[i])
-                witness = ReductionWitness(subset, assign, kind, complex(values[i, j]))
-                tied.append((row_top, witness))
-    if not tied:
+        degrees, adjacency = _principal(*matrices, subset)
+        class_bounds = _gelfand_bounds(degrees, adjacency, k, kind, quota)
+        positions: Sequence[int] = range(quota)
+        if np.isfinite(class_bounds).all():
+            first = int(np.argmax(class_bounds))
+            if _below(class_bounds[first], found.threshold):
+                continue
+            for block in _solve_classes(degrees, adjacency, k, kind, subset, [first]):
+                found.add(block)
+            reach = ~_below(class_bounds, found.threshold)
+            reach[first] = False
+            positions = np.flatnonzero(reach)
+        for block in _solve_classes(degrees, adjacency, k, kind, subset, positions):
+            found.add(block)
+    if not found.tied:
         raise ValueError("reduction produced no matrices")
     witness = min(
-        (w for _, w in tied), key=lambda w: (len(w.subset), w.subset, w.phase.phases)
+        (w for _, w in found.tied),
+        key=lambda w: (len(w.subset), w.subset, w.phase.phases),
     )
-    return RhoResult(top, witness, complete, used)
+    return RhoResult(found.top, witness, complete, used)
 
 
 def uniform_phase_matrix(g: LoopedGraph, k: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,14 @@ from pathlib import Path
 import pytest
 
 import hyperspec
+from hyperspec import reduction
 from hyperspec.cli import main
-from hyperspec.graphs import MAX_VERTEX_COUNT, cycle_graph, format_edge_list
+from hyperspec.graphs import (
+    MAX_VERTEX_COUNT,
+    complete_graph,
+    cycle_graph,
+    format_edge_list,
+)
 from hyperspec.hypergraphs import from_json_dict
 
 
@@ -201,6 +208,20 @@ class TestSpectrumCommand:
         assert code == 2
         assert "dedup_tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h_only", [False, True], ids=["spectrum", "h-only"])
+    @pytest.mark.parametrize("tol", ["0", "1e-15", "nan"])
+    def test_bad_tolerance_is_rejected_before_the_enumeration(
+        self, triangle_file, capsys, monkeypatch, tol, h_only
+    ):
+        def entered(*args, **kwargs):
+            raise AssertionError("the enumeration was entered")
+
+        monkeypatch.setattr(reduction, "_plan_work", entered)
+        args = ["spectrum", "--input", triangle_file, "--k", "6", "--tol", tol]
+        code = run_cli(args + ["--h-only"] * h_only)
+        assert code == 2
+        assert "dedup_tol must be at least 2**-46" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--parallel", "--seed"])
     def test_removed_flags_are_rejected(self, triangle_file, flag):
         with pytest.raises(SystemExit) as exc:
@@ -209,6 +230,36 @@ class TestSpectrumCommand:
 
 
 class TestVerifyCommand:
+    # stdout bytes of verify runs that call rho_power, recorded before its
+    # per-class pruning; pruning must not change them
+    @pytest.mark.parametrize(
+        "graph, check, ks, digest",
+        [
+            (
+                complete_graph(4),
+                "rho-equality",
+                "4,6,8,12",
+                "d2eac79179c398bef5c887763382f5f133be5e92bc0e99d1304cb49437648c68",
+            ),
+            (
+                cycle_graph(3),
+                "shrinking-gap",
+                "6,10,14",
+                "d307778cc34eea33efc7a9827d92edbe8374db394ad59a65e3dae09fdf4a2ce5",
+            ),
+        ],
+        ids=["rho-equality-K4", "shrinking-gap-C3"],
+    )
+    def test_rho_checks_print_the_recorded_bytes(
+        self, tmp_path, capsys, graph, check, ks, digest
+    ):
+        path = tmp_path / "g.edges"
+        path.write_text(format_edge_list(graph))
+        code = run_cli(["verify", "--check", check, "--input", str(path), "--k", ks])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_rho_equality_multiple_of_four(self, triangle_file, tmp_path):
         out = tmp_path / "v.json"
         code = run_cli(

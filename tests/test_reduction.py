@@ -501,7 +501,7 @@ def _petersen():
 
 # the oracle solves every planned matrix one at a time, so at default
 # settings the vertex count is capped per k to stay near 4000 matrices
-_ORACLE_VERTICES = {4: 6, 6: 6, 8: 5, 10: 4}
+_ORACLE_VERTICES = {4: 6, 6: 6, 8: 5, 10: 4, 12: 4}
 
 
 @st.composite
@@ -519,8 +519,37 @@ def connected_graphs(draw, max_vertices):
     return LoopedGraph(n, [(label[u], label[v]) for u, v in sorted(tree | extra)])
 
 
+def _count_solved_rows(monkeypatch):
+    """Route reduction's complex solves through a counter of solved rows."""
+    rows = []
+
+    def counting(ms, *args, **kwargs):
+        rows.append(len(ms))
+        return eig_complex_stack(ms, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "eig_complex_stack", counting)
+    return rows
+
+
+def _record_class_bounds(monkeypatch, overflow=False):
+    """Record every per-class bound array of rho_power; with ``overflow`` the
+    first class of each subset gets +inf, as an overflowing M^8 would."""
+    bounded = []
+    compute = reduction._gelfand_bounds
+
+    def recording(*args, **kwargs):
+        bounds = compute(*args, **kwargs)
+        if overflow:
+            bounds[0] = np.inf
+        bounded.append(bounds)
+        return bounds
+
+    monkeypatch.setattr(reduction, "_gelfand_bounds", recording)
+    return bounded
+
+
 class TestPrunedAndStackedSolves:
-    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
     @pytest.mark.parametrize("setting", ["default", "budget", "max_subset"])
     @settings(max_examples=6)
     @given(data=st.data())
@@ -544,37 +573,67 @@ class TestPrunedAndStackedSolves:
         assert _canonical(got_rho) == _canonical(rho)
 
     def test_rho_solves_only_subsets_that_can_reach_the_maximum(self, monkeypatch):
-        rows = []
-
-        def counting(ms, *args, **kwargs):
-            rows.append(len(ms))
-            return eig_complex_stack(ms, *args, **kwargs)
-
-        monkeypatch.setattr(reduction, "eig_complex_stack", counting)
+        rows = _count_solved_rows(monkeypatch)
         result = rho_power(cycle_graph(5), 8, "laplacian")
         # rho = rho(Q) = 4 is reached on the whole cycle; every proper subset
-        # is a path with majorant 2 + 2 cos(pi / (|U| + 1)) < 4
+        # is a path with majorant 2 + 2 cos(pi / (|U| + 1)) < 4, and of the
+        # cycle's 1024 classes only the top-bound one can reach 4
         assert result.value == pytest.approx(4.0, abs=1e-9)
-        assert sum(rows) == 4**5 == 1024
+        assert sum(rows) == 1
         assert result.budget_used == 2724 and result.complete
+
+    @pytest.mark.parametrize(
+        "g, k, solved",
+        [(complete_graph(4), 12, 1), (complete_graph(5), 6, 32)],
+        ids=["K4-k12", "K5-k6"],
+    )
+    def test_rho_solves_only_classes_that_can_reach_the_maximum(
+        self, monkeypatch, g, k, solved
+    ):
+        rows = _count_solved_rows(monkeypatch)
+        rho_power(g, k, "laplacian")
+        assert sum(rows) == solved
 
     def test_uncertified_majorants_prune_nothing(self, monkeypatch):
         g = complete_graph(4)
         want = rho_power(g, 6, "laplacian").to_json_dict()
-        rows = []
-
-        def counting(ms, *args, **kwargs):
-            rows.append(len(ms))
-            return eig_complex_stack(ms, *args, **kwargs)
+        bounded = _record_class_bounds(monkeypatch)
 
         def failing(ms, *args, **kwargs):
             raise ConvergenceError("uncertified", index=0)
 
-        monkeypatch.setattr(reduction, "eig_complex_stack", counting)
         monkeypatch.setattr(reduction, "eig_real_symmetric_stack", failing)
         got = rho_power(g, 6, "laplacian").to_json_dict()
         assert _canonical(got) == _canonical(want)
-        assert sum(rows) == got["budget_used"]
+        # no subset was pruned: every planned class got its bound
+        assert sum(len(bounds) for bounds in bounded) == got["budget_used"]
+
+    def test_infinite_class_bounds_prune_nothing_in_their_subset(self, monkeypatch):
+        g = cycle_graph(5)
+        want = rho_power(g, 8, "laplacian").to_json_dict()
+        rows = _count_solved_rows(monkeypatch)
+        bounded = _record_class_bounds(monkeypatch, overflow=True)
+        got = rho_power(g, 8, "laplacian").to_json_dict()
+        assert _canonical(got) == _canonical(want)
+        assert sum(rows) == sum(len(bounds) for bounds in bounded) == 1024
+
+    def test_rho_stacks_split_at_the_entry_cap(self, monkeypatch):
+        g = complete_graph(5)
+        whole = rho_power(g, 6, "laplacian", tie_tol=0.05).to_json_dict()
+        shapes = []
+        build = reduction._phased_matrices
+
+        def recording(*args, **kwargs):
+            stack = build(*args, **kwargs)
+            shapes.append(stack.shape)
+            return stack
+
+        monkeypatch.setattr(reduction, "_STACK_ENTRIES", 100)
+        monkeypatch.setattr(reduction, "_phased_matrices", recording)
+        chunked = rho_power(g, 6, "laplacian", tie_tol=0.05).to_json_dict()
+        assert _canonical(chunked) == _canonical(whole)
+        assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
+        assert any(n > 1 for n, _, _ in shapes) and len(shapes) > 100
 
     def test_tie_tolerance_outside_the_unit_interval_is_rejected(self):
         for tie_tol in (-1e-9, 1.0, 2.0):

@@ -117,34 +117,40 @@ def reduced_matrix(
     if not g.modified_induced_subgraph(subset).is_connected():
         raise ValueError(f"subset {subset} does not induce a connected subgraph")
     assign = PhaseAssignment(k, tuple(int(p) % k for p in phases))
-    degrees, adjacency = _principal(g.degree_vector(), g.adjacency_matrix(), subset)
-    return _phased_matrices(degrees, adjacency, k, np.array([assign.phases]), kind)[0]
-
-
-def _principal(
-    degrees: np.ndarray, adjacency: np.ndarray, subset: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """D[U] and A[U] of the base graph: D and A of the modified induced subgraph."""
-    index = np.array(subset)
-    return degrees[index], adjacency[np.ix_(index, index)]
+    index, rows = np.array([subset]), np.array([assign.phases])
+    matrices = g.degree_vector(), g.adjacency_matrix()
+    # all-zero phases build a real matrix
+    return _phased_matrices(*matrices, index, k, rows, kind)[0].astype(complex)
 
 
 def _phased_matrices(
-    degrees: np.ndarray, adjacency: np.ndarray, k: int, phases: np.ndarray, kind: str
+    degrees: np.ndarray,
+    adjacency: np.ndarray,
+    index: np.ndarray,
+    k: int,
+    phases: np.ndarray,
+    kind: str,
 ) -> np.ndarray:
-    """D - E A E for every row of ``phases``, stacked as an (N, s, s) array.
+    """D[U] - E A[U] E for every row of ``phases``, stacked as an (N, s, s) array.
 
-    E is the diagonal of exp(2 pi i l / k) over a row's phases l.  The
-    signless kind is D + E A E and the adjacency kind is E A E.
+    ``degrees`` and ``adjacency`` are D and A of the base graph.  ``index``
+    holds the sorted members of U, one row per phase row, or a single row
+    that distinct phase rows share by broadcasting.  E is the diagonal of
+    exp(2 pi i l / k) over a row's phases l.  The signless kind is
+    D + E A E and the adjacency kind is E A E.  When every phase is zero,
+    E = I exactly: the exp and the products are skipped and the stack stays
+    real, with the same values.
     """
-    units = np.exp(2j * np.pi * phases / k)
-    phased_adjacency = units[:, :, None] * units[:, None, :] * adjacency
+    size = index.shape[1]
+    stack = adjacency[index[:, :, None], index[:, None, :]]
+    if phases.any():
+        units = np.exp(2j * np.pi * phases / k)
+        stack = units[:, :, None] * units[:, None, :] * stack
     if kind == "adjacency":
-        return phased_adjacency
-    diag = np.diag(degrees).astype(complex)
-    if kind == "laplacian":
-        return diag - phased_adjacency
-    return diag + phased_adjacency
+        return stack
+    diag = np.zeros((len(index), size, size))
+    diag[:, range(size), range(size)] = degrees[index]
+    return diag - stack if kind == "laplacian" else diag + stack
 
 
 def phase_classes(size: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -264,47 +270,70 @@ def _class_phases(size: int, k: int, positions: Sequence[int]) -> np.ndarray:
     return phases
 
 
-def _class_stacks(
+def _stacks(
     degrees: np.ndarray,
     adjacency: np.ndarray,
+    index: np.ndarray,
     k: int,
+    phases: np.ndarray,
     kind: str,
-    positions: Sequence[int],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Phases and reduced matrices of one subset's classes at ``positions``.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_phased_matrices`` of the same arguments, in consecutive row chunks.
 
-    Yields ``(phases, stack)`` in the order of ``positions``, at most
-    ``_STACK_ENTRIES`` matrix entries per stack.
+    Yields ``(index, phases, stack)`` per chunk, at most ``_STACK_ENTRIES``
+    matrix entries per stack; a one-row ``index`` is passed on whole.
     """
-    size = len(degrees)
-    batch = max(1, _STACK_ENTRIES // size**2)
-    for lo in range(0, len(positions), batch):
-        phases = _class_phases(size, k, positions[lo : lo + batch])
-        yield phases, _phased_matrices(degrees, adjacency, k, phases, kind)
+    batch = max(1, _STACK_ENTRIES // phases.shape[1] ** 2)
+    for lo in range(0, len(phases), batch):
+        rows = slice(lo, lo + batch)
+        members = index if len(index) == 1 else index[rows]
+        part = phases[rows]
+        yield members, part, _phased_matrices(degrees, adjacency, members, k, part, kind)
 
 
-def _solve_classes(
+def _solve(
+    index: np.ndarray, phases: np.ndarray, stack: np.ndarray, symmetric: bool
+) -> np.ndarray:
+    """Sorted eigenvalues of each matrix of one ``_stacks`` item, one row each.
+
+    The caller picks the solver: ``eig_real_symmetric_stack`` when
+    ``symmetric``, else ``eig_complex_stack``, whatever the stack's dtype.  A
+    failed certificate re-raises ConvergenceError naming the subset and
+    phases of its matrix.
+    """
+    solver = eig_real_symmetric_stack if symmetric else eig_complex_stack
+    try:
+        return solver(stack)[0]
+    except ConvergenceError as exc:
+        row = exc.index or 0
+        subset = tuple(index[row if len(index) > 1 else 0].tolist())
+        witness = f"subset {subset}, phases {tuple(phases[row].tolist())}"
+        raise ConvergenceError(f"{exc} at {witness}") from exc
+
+
+def _identity_values(
     degrees: np.ndarray,
     adjacency: np.ndarray,
-    k: int,
+    subsets: list[tuple[int, ...]],
     kind: str,
-    subset: tuple[int, ...],
-    positions: Sequence[int],
-) -> Iterator[_Block]:
-    """Build and solve the phase classes at ``positions`` of one subset.
+) -> list[np.ndarray]:
+    """Ascending eigenvalues of the identity-phase matrix of each subset.
 
-    ``degrees`` and ``adjacency`` are D[U] and A[U].  Yields
-    ``(subset, phases, values)`` one stack at a time: the classes' phases and
-    the sorted eigenvalues of their matrices, one row per class.  A failed
-    certificate re-raises ConvergenceError naming its witness.
+    These are real symmetric; subsets of one size share stacked solves.  The
+    rows come back in the order of ``subsets``.
     """
-    for phases, stack in _class_stacks(degrees, adjacency, k, kind, positions):
-        try:
-            values = eig_complex_stack(stack)[0]
-        except ConvergenceError as exc:
-            witness = f"subset {subset}, phases {tuple(phases[exc.index or 0].tolist())}"
-            raise ConvergenceError(f"{exc} at {witness}") from exc
-        yield subset, phases, values
+    groups: dict[int, list[int]] = {}
+    for position, subset in enumerate(subsets):
+        groups.setdefault(len(subset), []).append(position)
+    values: list = [None] * len(subsets)
+    for positions in groups.values():
+        index = np.array([subsets[p] for p in positions])
+        # k = 2 stands for any k: all-zero phases give E = I
+        chunks = _stacks(degrees, adjacency, index, 2, np.zeros_like(index), kind)
+        solved = np.concatenate([_solve(*chunk, symmetric=True) for chunk in chunks])
+        for position, row in zip(positions, solved):
+            values[position] = row
+    return values
 
 
 # the slack delta of the per-class bounds (||M^8|| + delta ||M||^8)^(1/8);
@@ -313,95 +342,51 @@ _GELFAND_SLACK = 1e-9
 
 
 def _gelfand_bounds(
-    degrees: np.ndarray, adjacency: np.ndarray, k: int, kind: str, quota: int
+    degrees: np.ndarray,
+    adjacency: np.ndarray,
+    index: np.ndarray,
+    k: int,
+    phases: np.ndarray,
+    kind: str,
 ) -> np.ndarray:
-    """(||M^8|| + delta ||M||^8)^(1/8) in the infinity norm for each of the
-    first ``quota`` phase classes of one subset, in class order.
+    """(||M^8|| + delta ||M||^8)^(1/8) in the infinity norm for the reduced
+    matrix M of each row of ``phases``, in row order.
 
     M^8 comes from three stacked squarings with ``np.einsum``, which keeps
     BLAS matmul buffers out of resident memory.  Overflow gives +inf.
     """
-    bounds = np.empty(quota)
-    lo = 0
+    bounds = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, stack in _class_stacks(degrees, adjacency, k, kind, range(quota)):
+        for _, _, stack in _stacks(degrees, adjacency, index, k, phases, kind):
             power = stack
             for _ in range(3):
                 power = np.einsum("nij,njk->nik", power, power)
             norms = np.abs(stack).sum(axis=2).max(axis=1)
             power_norms = np.abs(power).sum(axis=2).max(axis=1)
             slack = _GELFAND_SLACK * norms**8
-            bounds[lo : lo + len(stack)] = (power_norms + slack) ** (1 / 8)
-            lo += len(stack)
-    return bounds
-
-
-def _identity_stacks(
-    g: LoopedGraph, subsets: list[tuple[int, ...]], kind: str
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Identity-phase matrices of ``subsets``, stacked by subset size.
-
-    Yields ``(positions, stack)``: indices into ``subsets`` of one size and
-    their real matrices D[U] - A[U], D[U] + A[U] or A[U] (Laplacian, signless,
-    adjacency), at most ``_STACK_ENTRIES`` entries per stack.
-    """
-    degrees, adjacency = g.degree_vector(), g.adjacency_matrix()
-    by_size: dict[int, list[int]] = {}
-    for position, subset in enumerate(subsets):
-        by_size.setdefault(len(subset), []).append(position)
-    for size, positions in by_size.items():
-        batch = max(1, _STACK_ENTRIES // size**2)
-        for lo in range(0, len(positions), batch):
-            chunk = positions[lo : lo + batch]
-            index = np.array([subsets[p] for p in chunk])
-            stack = adjacency[index[:, :, None], index[:, None, :]]
-            if kind != "adjacency":
-                diag = np.zeros_like(stack)
-                diag[:, range(size), range(size)] = degrees[index]
-                stack = diag - stack if kind == "laplacian" else diag + stack
-            yield chunk, stack
-
-
-def _solve_identity(
-    g: LoopedGraph, kind: str, plan: list[tuple[tuple[int, ...], int]]
-) -> list[_Block]:
-    """The identity-phase slice: one real symmetric matrix per planned subset.
-
-    Subsets of one size share stacked solves; the blocks come back in plan
-    order, each with the all-zero phase class and a one-row value array.
-    """
-    subsets = [subset for subset, _ in plan]
-    values = [None] * len(subsets)
-    for positions, stack in _identity_stacks(g, subsets, kind):
-        try:
-            solved = eig_real_symmetric_stack(stack)[0]
-        except ConvergenceError as exc:
-            subset = subsets[positions[exc.index or 0]]
-            witness = f"subset {subset}, phases {(0,) * len(subset)}"
-            raise ConvergenceError(f"{exc} at {witness}") from exc
-        for position, row in zip(positions, solved):
-            values[position] = row[None]
-    return [(s, np.zeros((1, len(s)), np.int64), v) for s, v in zip(subsets, values)]
+            bounds.append((power_norms + slack) ** (1 / 8))
+    return np.concatenate(bounds)
 
 
 def _perron_bounds(
-    g: LoopedGraph, subsets: list[tuple[int, ...]], kind: str
+    degrees: np.ndarray,
+    adjacency: np.ndarray,
+    subsets: list[tuple[int, ...]],
+    kind: str,
 ) -> np.ndarray:
     """Perron majorant of every phase class of each subset.
 
     Entrywise |D[U] -+ E A[U] E| = D[U] + A[U] and |E A[U] E| = A[U], so the
     spectral radius of each reduced matrix of U is at most the largest
-    eigenvalue of that nonnegative symmetric matrix.  A stack whose
-    certificate fails bounds nothing: its subsets get +inf.
+    eigenvalue of that nonnegative symmetric matrix.  A failed certificate
+    bounds nothing: every subset gets +inf.
     """
     majorant = "adjacency" if kind == "adjacency" else "signless"
-    bounds = np.full(len(subsets), np.inf)
-    for positions, stack in _identity_stacks(g, subsets, majorant):
-        try:
-            bounds[positions] = eig_real_symmetric_stack(stack)[0][:, -1]
-        except ConvergenceError:
-            continue
-    return bounds
+    try:
+        values = _identity_values(degrees, adjacency, subsets, majorant)
+    except ConvergenceError:
+        return np.full(len(subsets), np.inf)
+    return np.array([row[-1] for row in values])
 
 
 class _Witnesses(Sequence):
@@ -447,17 +432,20 @@ def _spectrum_report(
     # a bad tolerance fails before the enumeration, not after it
     check_dedup_tol(dedup_tol)
     plan, complete, used = _plan_work(g, k, max_subset, budget, identity_only)
+    matrices = g.degree_vector(), g.adjacency_matrix()
     if identity_only:
-        blocks = _solve_identity(g, kind, plan)
-    else:
-        matrices = g.degree_vector(), g.adjacency_matrix()
+        subsets = [subset for subset, _ in plan]
+        rows = _identity_values(*matrices, subsets, kind)
         blocks = [
-            block
-            for subset, quota in plan
-            for block in _solve_classes(
-                *_principal(*matrices, subset), k, kind, subset, range(quota)
-            )
+            (s, np.zeros((1, len(s)), np.int64), v[None]) for s, v in zip(subsets, rows)
         ]
+    else:
+        blocks = []
+        for subset, quota in plan:
+            phases = _class_phases(len(subset), k, range(quota))
+            chunks = _stacks(*matrices, np.array([subset]), k, phases, kind)
+            for index, part, stack in chunks:
+                blocks.append((subset, part, _solve(index, part, stack, symmetric=False)))
     values = np.concatenate([v.ravel() for _, _, v in blocks]) if blocks else []
     witnesses = _Witnesses(k, kind, blocks)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
@@ -611,27 +599,29 @@ def rho_power(
     if not 0 <= tie_tol < 1:
         raise ValueError("tie_tol must lie in [0, 1)")
     plan, complete, used = _plan_work(g, k, max_subset, budget)
-    bounds = _perron_bounds(g, [subset for subset, _ in plan], kind)
     matrices = g.degree_vector(), g.adjacency_matrix()
+    bounds = _perron_bounds(*matrices, [subset for subset, _ in plan], kind)
     found = _TopModulus(k, kind, tie_tol)
+
+    def solve(subset: tuple[int, ...], phases: np.ndarray) -> None:
+        for index, part, stack in _stacks(*matrices, np.array([subset]), k, phases, kind):
+            found.add((subset, part, _solve(index, part, stack, symmetric=False)))
+
     for position in np.argsort(-bounds, kind="stable"):
         if _below(bounds[position], found.threshold):
             break
         subset, quota = plan[position]
-        degrees, adjacency = _principal(*matrices, subset)
-        class_bounds = _gelfand_bounds(degrees, adjacency, k, kind, quota)
-        positions: Sequence[int] = range(quota)
+        phases = _class_phases(len(subset), k, range(quota))
+        class_bounds = _gelfand_bounds(*matrices, np.array([subset]), k, phases, kind)
         if np.isfinite(class_bounds).all():
             first = int(np.argmax(class_bounds))
             if _below(class_bounds[first], found.threshold):
                 continue
-            for block in _solve_classes(degrees, adjacency, k, kind, subset, [first]):
-                found.add(block)
+            solve(subset, phases[first : first + 1])
             reach = ~_below(class_bounds, found.threshold)
             reach[first] = False
-            positions = np.flatnonzero(reach)
-        for block in _solve_classes(degrees, adjacency, k, kind, subset, positions):
-            found.add(block)
+            phases = phases[reach]
+        solve(subset, phases)
     if not found.tied:
         raise ValueError("reduction produced no matrices")
     witness = min(

@@ -28,8 +28,6 @@ __all__ = [
     "rotate_signless_to_laplacian",
     "Gauge",
     "verify_diagonal_similarity",
-    "eigenpair_to_json_dict",
-    "eigenpair_from_json_dict",
 ]
 
 LIFT_INPUT_TOL = 1e-10
@@ -284,26 +282,6 @@ class Gauge:
         raw = payload["phase"]
         phases = tuple(int(raw[str(v)]) for v in range(len(raw)))
         return cls(modulus, phases)
-
-
-# -- eigenpair wire format: {"lambda": [re, im], "vector": [[re, im], ...],
-#    "residual": float}
-
-
-def eigenpair_to_json_dict(pair: EigenPair) -> dict:
-    value = complex(pair.value)
-    return {
-        "lambda": [value.real, value.imag],
-        "vector": [[complex(v).real, complex(v).imag] for v in pair.vector],
-        "residual": float(pair.residual),
-    }
-
-
-def eigenpair_from_json_dict(payload: dict) -> EigenPair:
-    value = complex(payload["lambda"][0], payload["lambda"][1])
-    vector = np.array([complex(re, im) for re, im in payload["vector"]])
-    vector.flags.writeable = False
-    return EigenPair(value, vector, float(payload["residual"]))
 
 
 _DIAG_COEFF = {"adjacency": 0, "laplacian": 1, "signless": 1}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hyperspec
-from hyperspec import reduction
+from hyperspec import cli, reduction
 from hyperspec.cli import main
 from hyperspec.graphs import (
     MAX_VERTEX_COUNT,
@@ -229,6 +229,90 @@ class TestSpectrumCommand:
         assert exc.value.code == 2
 
 
+# stdout sha256 of each command in each format, recorded before the CLI lost
+# its shared option set and the reduction its second stack builder
+RECORDED = [
+    ("spectrum --format json", "a13f38bd8e2a9ca971f902f5f8ab38472a3ad3a2f869f1e466cf7bd07c9066b9"),
+    ("spectrum --format json --h-only", "6b37475c844cbfccfab94553c5c3e10d8b24044cbced22cfd2b1b0c8ac87dd50"),
+    ("spectrum --format csv", "48d964c46edd47eb89b4cf1ea54781dde6897e53ebfe50db63bccf9e0481f6df"),
+    ("spectrum --format csv --h-only", "304ee942b85ee4cb584909a0bdbdc0bee37c0c9dad55e33ea022b67bd34122f7"),
+    ("spectrum --format pretty", "07eb68052d110d5ff5ef1267613639abe4c09e2eba49361f5877020cd4093577"),
+    ("spectrum --format pretty --h-only", "02ad07b4e9c16a565e20b612007e5d61c1ffef9e2f4d89561a4eaed388d1c5c0"),
+    ("verify --format json", "b30672540d2a4f25e4ae9de774512df2332454ae68c550c7006c8172784fcab3"),
+    ("verify --format csv", "e1741c820b75a94f79c44ec7efa85eec10fc961d4e54cc5ce1e2e3c6a162eedb"),
+    ("verify --format pretty", "fd9248c38fa90cf23b0e5eeefb39f7785f5a9101bd9ab58f0c86dd3f52238444"),
+    ("certificate --format json", "31f6e6b7417ab3f5135a1d7e9da77e7eb5c9e364099f69fbef35475c8aba85ae"),
+    ("certificate --format csv", "023607c1e80b746c2dcfc6f75af7be5c42cba43089ed47a6912e98aba164450b"),
+    ("certificate --format pretty", "40af82e24b1134f152450187bcea7527ecfa0b71e5f69ff7c85c4604b18fc38d"),
+    ("power", "ec9bbe48fd72258d9ba6793bdabfd8cf753eef344f9db2938d1b8cce308fc1d2"),
+]
+
+
+def _recorded_argv(command, tmp_path, triangle_file):
+    """The argv of one recorded run: spectrum of K4 at k = 6, power-invariance
+    of C3 at k = 4 and 6, certificates of the C3 power at k = 6, and that power."""
+    if command == "spectrum":
+        path = tmp_path / "k4.edges"
+        path.write_text(format_edge_list(complete_graph(4)))
+        return ["spectrum", "--input", str(path), "--k", "6"]
+    if command == "verify":
+        argv = ["verify", "--check", "power-invariance", "--input", triangle_file]
+        return argv + ["--k", "4,6"]
+    if command == "certificate":
+        power = tmp_path / "c3-k6.json"
+        code = run_cli(["power", "--input", triangle_file, "--k", "6", "--out", str(power)])
+        assert code == 0
+        return ["certificate", "--input", str(power)]
+    return ["power", "--input", triangle_file, "--k", "6"]
+
+
+class TestRecordedBytes:
+    @pytest.mark.parametrize("run, digest", RECORDED, ids=[run for run, _ in RECORDED])
+    def test_commands_print_the_recorded_bytes(
+        self, tmp_path, capsys, triangle_file, run, digest
+    ):
+        command, *extra = run.split()
+        argv = _recorded_argv(command, tmp_path, triangle_file)
+        capsys.readouterr()
+        assert run_cli(argv + extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("power", "--budget", "10"),
+            ("power", "--max-subset", "3"),
+            ("power", "--tol", "1e-8"),
+            ("power", "--format", "csv"),
+            ("certificate", "--budget", "10"),
+            ("certificate", "--max-subset", "3"),
+            ("certificate", "--tol", "1e-8"),
+        ],
+    )
+    def test_options_a_command_does_not_read_are_rejected(
+        self, tmp_path, triangle_file, command, flag, value
+    ):
+        argv = _recorded_argv(command, tmp_path, triangle_file)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + [flag, value])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, budget", [("power", "abc"), ("certificate", "0")]
+    )
+    def test_commands_without_enumeration_ignore_the_budget_variable(
+        self, tmp_path, capsys, monkeypatch, triangle_file, command, budget
+    ):
+        argv = _recorded_argv(command, tmp_path, triangle_file)
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("HYPERSPEC_BUDGET", budget)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == plain
+
+
 class TestVerifyCommand:
     # stdout bytes of verify runs that call rho_power, recorded before its
     # per-class pruning; pruning must not change them
@@ -280,6 +364,20 @@ class TestVerifyCommand:
         assert payload["passed"]
         for row in payload["rows"]:
             assert row["ok"]
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_equality_tolerance_is_rejected_before_rho(
+        self, tmp_path, capsys, monkeypatch, tol
+    ):
+        def entered(*args, **kwargs):
+            raise AssertionError("rho_power was called")
+
+        monkeypatch.setattr(cli, "rho_power", entered)
+        path = tmp_path / "k4.edges"
+        path.write_text(format_edge_list(complete_graph(4)))
+        argv = ["verify", "--check", "rho-equality", "--input", str(path), "--k", "4"]
+        assert run_cli(argv + ["--tol", tol]) == 2
+        assert "--tol must be a nonnegative number" in capsys.readouterr().err
 
     def test_rho_equality_rejects_bipartite(self, square_file):
         code = run_cli(

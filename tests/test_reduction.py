@@ -564,11 +564,14 @@ class TestPrunedAndStackedSolves:
             options["max_subset"] = data.draw(st.integers(1, 3), label="max_subset")
         # wide tie bands make the witness depend on subsets below the maximum
         tie_tol = data.draw(st.sampled_from([1e-9, 0.05, 0.5]), label="tie_tol")
-        _, h_spectrum, rho = _one_matrix_at_a_time(
+        spectrum, h_spectrum, rho = _one_matrix_at_a_time(
             g, k, kind, tie_tol=tie_tol, **options
         )
+        # budgets truncate last subsets, and some stacks hold class 0 alone
+        got = spectrum_power(g, k, kind, **options).to_json_dict()
         got_h = h_spectrum_power(g, k, kind, **options).to_json_dict()
         got_rho = rho_power(g, k, kind, **options, tie_tol=tie_tol).to_json_dict()
+        assert _canonical(got) == _canonical(spectrum)
         assert _canonical(got_h) == _canonical(h_spectrum)
         assert _canonical(got_rho) == _canonical(rho)
 
@@ -634,6 +637,25 @@ class TestPrunedAndStackedSolves:
         assert _canonical(chunked) == _canonical(whole)
         assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
         assert any(n > 1 for n, _, _ in shapes) and len(shapes) > 100
+
+    def test_spectrum_stacks_split_at_the_entry_cap(self, monkeypatch):
+        g = complete_graph(5)
+        whole = spectrum_power(g, 6, "laplacian").to_json_dict()
+        shapes = []
+        build = reduction._phased_matrices
+
+        def recording(*args, **kwargs):
+            stack = build(*args, **kwargs)
+            shapes.append(stack.shape)
+            return stack
+
+        monkeypatch.setattr(reduction, "_STACK_ENTRIES", 100)
+        monkeypatch.setattr(reduction, "_phased_matrices", recording)
+        chunked = spectrum_power(g, 6, "laplacian").to_json_dict()
+        assert _canonical(chunked) == _canonical(whole)
+        assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
+        assert sum(n for n, _, _ in shapes) == chunked["budget_used"] == 1023
+        assert len(shapes) > 100
 
     def test_tie_tolerance_outside_the_unit_interval_is_rejected(self):
         for tie_tol in (-1e-9, 1.0, 2.0):

@@ -399,20 +399,6 @@ class TestHalfEdgeStructure:
                 assert max(abs(p - powers[0]) for p in powers) <= 1e-8
 
 
-class TestEigenpairJson:
-    def test_roundtrip(self):
-        from hyperspec.tensors import eigenpair_from_json_dict, eigenpair_to_json_dict
-
-        h, _ = generalized_power(cycle_graph(3), 4, 2)
-        pair = nqz_power_iteration(TensorOperator(h, "signless"))
-        payload = eigenpair_to_json_dict(pair)
-        assert payload["lambda"] == [4.0, 0.0]
-        assert payload["residual"] == pair.residual
-        back = eigenpair_from_json_dict(payload)
-        assert back.value == pair.value
-        assert np.array_equal(back.vector, pair.vector.astype(complex))
-
-
 class TestGauge:
     def test_rejects_non_integer_phase(self):
         with pytest.raises((ValueError, TypeError)):

@@ -53,6 +53,7 @@ from hyperspec.tensors import (
     Gauge,
     TensorOperator,
     eig_residual,
+    lift_perron,
     lift_phase,
     lift_real,
     nqz_power_iteration,
@@ -104,6 +105,7 @@ __all__ = [
     "Gauge",
     "TensorOperator",
     "eig_residual",
+    "lift_perron",
     "lift_phase",
     "lift_real",
     "nqz_power_iteration",

@@ -9,7 +9,6 @@ not.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,22 +75,29 @@ class Hypergraph:
         return self._degrees[v]
 
     def is_connected(self) -> bool:
-        """Connectivity through full edges; loop edges do not connect vertices."""
+        """Connectivity through full edges; loop edges do not connect vertices.
+
+        A search over vertex-edge incidences: each full edge is opened once,
+        so the cost is the total edge size, not a clique per edge.
+        """
         if self.vertex_count == 0:
             raise ValueError("connectivity is undefined for the empty hypergraph")
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for e in self.full_edges:
+        incident: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for j, e in enumerate(self.full_edges):
             for v in e:
-                adj[v].update(w for w in e if w != v)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.vertex_count
+                incident[v].append(j)
+        opened = [False] * len(self.full_edges)
+        seen = [True] + [False] * (self.vertex_count - 1)
+        stack = [0]
+        while stack:
+            for j in incident[stack.pop()]:
+                if not opened[j]:
+                    opened[j] = True
+                    for w in self.full_edges[j]:
+                        if not seen[w]:
+                            seen[w] = True
+                            stack.append(w)
+        return all(seen)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):

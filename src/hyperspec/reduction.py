@@ -236,6 +236,8 @@ def _plan_work(
     _check_power_inputs(g, k)
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if max_subset < 1:
+        raise ValueError("max_subset must be positive")
     complete = g.vertex_count <= max_subset
     used = 0
     plan = []

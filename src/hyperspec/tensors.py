@@ -24,6 +24,7 @@ __all__ = [
     "eig_residual",
     "nqz_power_iteration",
     "lift_real",
+    "lift_perron",
     "lift_phase",
     "rotate_signless_to_laplacian",
     "Gauge",
@@ -93,17 +94,40 @@ def eig_residual(operator: TensorOperator, value: complex, x: Sequence[complex])
     return float(np.max(np.abs(defect)) / norm ** (operator.k - 1))
 
 
+def _start_vector(start: np.ndarray, n: int, power: int) -> np.ndarray:
+    """A caller's start vector scaled to max-norm 1; ValueError if x^{[k-1]}
+    of the scaled start is not positive, since the quotients divide by it."""
+    x = np.array(start, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"start vector shape {x.shape} does not match ({n},)")
+    if not (np.all(np.isfinite(x)) and np.all(x > 0)):
+        raise ValueError("start vector must be finite and entrywise positive")
+    x = x / np.max(x)
+    if not np.all(x**power > 0):
+        raise ValueError(f"start vector entries underflow at the power {power}")
+    return x
+
+
 def nqz_power_iteration(
     operator: TensorOperator,
     gap_tol: float = NQZ_GAP_TOL,
     budget: int = NQZ_BUDGET,
+    start: np.ndarray | None = None,
 ) -> EigenPair:
     """Largest H-eigenvalue of a nonnegative tensor by normalized power steps.
 
-    Iterates x <- normalize((T x^{k-1} + x^{[k-1]})^{[1/(k-1)]}) from the
-    all-ones vector; the unit shift keeps iterates positive without moving the
-    eigenvector.  Stops when the min/max Collatz-Wielandt bounds agree within
-    ``gap_tol``; the returned residual is certified below 1e-8.
+    Iterates x <- normalize((T x^{k-1} + x^{[k-1]})^{[1/(k-1)]}) from
+    ``start`` (all-ones when None; a given start must be finite, positive and
+    keep x^{[k-1]} positive after scaling to max-norm 1); the unit shift keeps
+    iterates positive without moving the eigenvector.  Stops when the min/max
+    Collatz-Wielandt bounds agree within ``gap_tol``; the returned residual is
+    certified below 1e-8.
+
+    The run stays a check of rho(T) independent of where its start came from:
+    for a connected hypergraph lo <= rho(T) + 1 <= hi at every positive x, so
+    a stop certifies the value within ``gap_tol`` whatever the start.  A start
+    near the Perron vector (a lifted base Perron vector) saves iterations; a
+    wrong one only costs them.
     """
     if operator.kind == "laplacian":
         raise ValueError("power iteration needs a nonnegative tensor (A or Q)")
@@ -112,7 +136,7 @@ def nqz_power_iteration(
         raise ValueError("power iteration needs a connected hypergraph")
     n = operator.dimension
     power = operator.k - 1
-    x = np.ones(n)
+    x = np.ones(n) if start is None else _start_vector(start, n, power)
     value = 0.0
     converged = False
     for _ in range(budget):
@@ -187,6 +211,23 @@ def lift_real(
         lifted[mem[0]] = np.sign(x[i]) * magnitude
         for v in mem[1:]:
             lifted[v] = magnitude
+    return lifted
+
+
+def lift_perron(h: Hypergraph, halfmap: HalfEdgeMap, x: Sequence[float]) -> np.ndarray:
+    """Spread a positive base vector over the half edges of a power.
+
+    Every member of the half edge of base vertex u gets x_u^{2/k}; vertices on
+    no half edge get zero.  On the half blow-up the Perron vectors of Q(G) and
+    A(G) lift this way to the Perron vectors of the power's signless Laplacian
+    and adjacency tensors, with the same eigenvalues.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (len(halfmap.half_edges),):
+        raise ValueError("one vector entry per half edge is required")
+    lifted = np.zeros(h.vertex_count)
+    for members, magnitude in zip(halfmap.half_edges, x ** (2.0 / h.k)):
+        lifted[list(members)] = magnitude
     return lifted
 
 

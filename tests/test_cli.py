@@ -16,6 +16,7 @@ from hyperspec.graphs import (
     complete_graph,
     cycle_graph,
     format_edge_list,
+    path_graph,
 )
 from hyperspec.hypergraphs import from_json_dict
 
@@ -222,6 +223,18 @@ class TestSpectrumCommand:
         assert code == 2
         assert "dedup_tol must be at least 2**-46" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h_only", [False, True], ids=["spectrum", "h-only"])
+    @pytest.mark.parametrize("max_subset", ["0", "-2"])
+    def test_nonpositive_max_subset_is_an_input_error(
+        self, triangle_file, capsys, max_subset, h_only
+    ):
+        args = ["spectrum", "--input", triangle_file, "--k", "4"]
+        code = run_cli(args + ["--max-subset", max_subset] + ["--h-only"] * h_only)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_subset must be positive" in captured.err
+
     @pytest.mark.parametrize("flag", ["--parallel", "--seed"])
     def test_removed_flags_are_rejected(self, triangle_file, flag):
         with pytest.raises(SystemExit) as exc:
@@ -378,6 +391,31 @@ class TestVerifyCommand:
         argv = ["verify", "--check", "rho-equality", "--input", str(path), "--k", "4"]
         assert run_cli(argv + ["--tol", tol]) == 2
         assert "--tol must be a nonnegative number" in capsys.readouterr().err
+
+    def test_rho_equality_rejects_a_nonpositive_max_subset(self, triangle_file, capsys):
+        argv = ["verify", "--check", "rho-equality", "--input", triangle_file, "--k", "4"]
+        assert run_cli(argv + ["--max-subset", "0"]) == 2
+        assert "max_subset must be positive" in capsys.readouterr().err
+
+    # stdout of power-invariance on the irregular P4, recorded with NQZ started
+    # at the lifted base Perron vectors
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "ca76dc37e3092b8d9467798c34d0d1e79891327ddb5ce3d537f064d491ca0a2e"),
+            ("csv", "7515835d34a3ffc0dc2bad18fc42b21d214873cf19dbf1cf236ca494bee18f2d"),
+            ("pretty", "ca67384b9a35ec8d378a27452738264bc2688010bbe6198c8b3a0ebc92555642"),
+        ],
+    )
+    def test_power_invariance_on_a_path_prints_the_recorded_bytes(
+        self, tmp_path, capsys, fmt, digest
+    ):
+        path = tmp_path / "p4.edges"
+        path.write_text(format_edge_list(path_graph(4)))
+        argv = ["verify", "--check", "power-invariance", "--input", str(path)]
+        assert run_cli(argv + ["--k", "4,6,8", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_rho_equality_rejects_bipartite(self, square_file):
         code = run_cli(

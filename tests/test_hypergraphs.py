@@ -36,6 +36,34 @@ def random_uniform_hypergraph(rng, n, k, m):
     return Hypergraph(n, k, sorted(edges))
 
 
+def clique_is_connected(h):
+    """Oracle: breadth-first search over the clique adjacency of the full edges."""
+    adj = [set() for _ in range(h.vertex_count)]
+    for e in h.full_edges:
+        for v in e:
+            adj[v].update(w for w in e if w != v)
+    seen = {0}
+    queue = [0]
+    while queue:
+        for w in adj[queue.pop(0)]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == h.vertex_count
+
+
+@st.composite
+def hypergraphs_with_loops(draw):
+    """Small hypergraphs with loop edges and, often, isolated vertices."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 9))
+    vertices = st.integers(0, n - 1)
+    full = st.sets(vertices, min_size=k, max_size=k).map(lambda e: tuple(sorted(e)))
+    full_edges = draw(st.sets(full, max_size=6)) if n >= k else set()
+    loops = draw(st.lists(st.sets(vertices, min_size=1, max_size=k - 1), max_size=4))
+    return Hypergraph(n, k, sorted(full_edges) + [tuple(sorted(e)) for e in loops])
+
+
 class TestGeneralizedPower:
     def test_triangle_half_blowup(self):
         h, halfmap = generalized_power(cycle_graph(3), 4, 2)
@@ -127,6 +155,19 @@ class TestHypergraphBasics:
         h, _ = generalized_power(cycle_graph(3), 4, 2)
         assert h.is_connected()
         assert not Hypergraph(5, 4, [(0, 1, 2, 3)]).is_connected()
+
+    def test_connectivity_of_the_empty_hypergraph_is_undefined(self):
+        with pytest.raises(ValueError):
+            Hypergraph(0, 4).is_connected()
+
+    def test_loop_edges_do_not_connect(self):
+        assert not Hypergraph(3, 4, [(0, 1, 2)]).is_connected()
+        assert Hypergraph(1, 4, [(0,)]).is_connected()
+
+    @settings(max_examples=300)
+    @given(hypergraphs_with_loops())
+    def test_connectivity_matches_the_clique_search(self, h):
+        assert h.is_connected() == clique_is_connected(h)
 
 
 class TestOddBipartition:

@@ -16,6 +16,7 @@ from hyperspec.tensors import (
     Gauge,
     TensorOperator,
     eig_residual,
+    lift_perron,
     lift_phase,
     lift_real,
     nqz_power_iteration,
@@ -261,6 +262,92 @@ class TestNqzPowerIteration:
         h, _ = generalized_power(g, 4, 2)
         with pytest.raises(ConvergenceError):
             nqz_power_iteration(TensorOperator(h, "signless"), budget=1)
+
+
+class TestNqzStart:
+    # irregular bases, so the all-ones start is not already the Perron vector
+    BASES = {
+        "P4": path_graph(4),
+        "star": LoopedGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+        "random": looped_random_graph(9, 5, random.Random(50)),
+    }
+    MATRICES = {"signless": "signless_laplacian_matrix", "adjacency": "adjacency_matrix"}
+
+    @staticmethod
+    def counted(op):
+        """Count the applies of ``op``: NQZ steps plus the residual's one."""
+        calls = []
+        apply = op.apply
+        op.apply = lambda x: calls.append(1) or apply(x)
+        return calls
+
+    def lifted(self, g, k, kind):
+        h, halfmap = generalized_power(g, k, k // 2)
+        base = power_iteration_nonneg(getattr(g, self.MATRICES[kind])())
+        return h, lift_perron(h, halfmap, base.vector)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [0.0, -0.5, np.nan, np.inf, 1e-40],
+        ids=["zero", "negative", "nan", "inf", "underflow"],
+    )
+    def test_bad_start_entry_is_rejected(self, entry):
+        # k = 12, so 1e-40 ** 11 underflows to zero
+        h, _ = generalized_power(path_graph(2), 12, 6)
+        start = np.ones(h.vertex_count)
+        start[1] = entry
+        with pytest.raises(ValueError):
+            nqz_power_iteration(TensorOperator(h, "signless"), start=start)
+
+    @pytest.mark.parametrize("shape", [(11,), (13,), (12, 1)])
+    def test_start_of_wrong_shape_is_rejected(self, shape):
+        h, _ = generalized_power(path_graph(2), 12, 6)
+        with pytest.raises(ValueError):
+            nqz_power_iteration(TensorOperator(h, "signless"), start=np.ones(shape))
+
+    def test_none_is_the_all_ones_start(self):
+        h, _ = generalized_power(self.BASES["random"], 4, 2)
+        op = TensorOperator(h, "signless")
+        cold = nqz_power_iteration(op)
+        ones = nqz_power_iteration(op, start=np.ones(h.vertex_count))
+        assert ones.value == cold.value
+        assert ones.vector.tobytes() == cold.vector.tobytes()
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    @pytest.mark.parametrize("base", sorted(BASES))
+    def test_lifted_perron_start_stops_after_one_step(self, base, k):
+        g = self.BASES[base]
+        for kind in self.MATRICES:
+            h, start = self.lifted(g, k, kind)
+            op = TensorOperator(h, kind)
+            cold = nqz_power_iteration(op)
+            calls = self.counted(op)
+            warm = nqz_power_iteration(op, start=start, budget=1)
+            assert len(calls) == 2
+            assert warm.value == pytest.approx(cold.value, abs=1e-10)
+            assert warm.residual <= 1e-8
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    @pytest.mark.parametrize("base", sorted(BASES))
+    def test_wrong_start_reaches_the_cold_value(self, base, k):
+        g = self.BASES[base]
+        h, a_start = self.lifted(g, k, "adjacency")
+        _, q_start = self.lifted(g, k, "signless")
+        cold = nqz_power_iteration(TensorOperator(h, "signless"))
+        rng = np.random.default_rng(k)
+        perturbed = q_start * (1.0 + 0.3 * rng.random(h.vertex_count))
+        for start in (a_start, perturbed):
+            op = TensorOperator(h, "signless")
+            calls = self.counted(op)
+            warm = nqz_power_iteration(op, start=start)
+            assert len(calls) > 2
+            assert warm.value == pytest.approx(cold.value, abs=1e-10)
+            assert warm.residual <= 1e-8
+
+    def test_lift_needs_one_entry_per_half_edge(self):
+        h, halfmap = generalized_power(path_graph(4), 4, 2)
+        with pytest.raises(ValueError):
+            lift_perron(h, halfmap, np.ones(3))
 
 
 class TestLiftReal:

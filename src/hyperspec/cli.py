@@ -2,9 +2,10 @@
 
 Subcommands: ``power`` builds a blow-up hypergraph file, ``spectrum`` computes
 (H-)spectra of power tensors, ``verify`` runs numeric checks of the spectral
-identities at chosen k, and ``certificate`` probes diagonal-similarity
-certificates.  Exit codes: 0 success, 1 a verification check failed, 2 bad
-input, 3 budget exhausted (results are lower bounds).
+identities at chosen k, and ``certificate`` decides diagonal similarity of
+the Laplacian tensors and reports certificates at chosen moduli.  Exit
+codes: 0 success, 1 a verification check failed, 2 bad input, 3 budget
+exhausted (results are lower bounds).
 """
 
 from __future__ import annotations

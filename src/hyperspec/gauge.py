@@ -1,13 +1,22 @@
-"""Constructive search for exact diagonal-similarity certificates.
+"""Exact diagonal-similarity certificates between the Laplacian tensors.
 
-A unit-modulus diagonal with phases that are m-th roots of unity conjugates
-the Laplacian tensor into the signless one exactly when the phases solve, for
-every edge e and member i, sum of phases over e minus k times the phase of i
-equals half the modulus, mod m.  At m = 2 this is the odd-bipartiteness
-system, which ``hypergraphs.odd_bipartition`` solves here.  Solving is exact
-integer arithmetic: CRT split of the modulus into prime powers,
-minimal-valuation elimination per component, with saturation rows making
-back-substitution complete.
+A diagonal of m-th roots of unity, phase theta_v out of m, conjugates the
+Laplacian tensor into the signless one exactly when, for every edge e and
+member i, sum_e theta - k theta_i = m/2 (mod m).  On a connected k-uniform
+hypergraph with k and m even, these k rows per edge collapse to one.  Two
+rows of an edge differ by k (theta_v - theta_f), so theta = c (mod m/g)
+with g = gcd(k, m) on the whole hypergraph.  Writing theta = c + (m/g) y,
+the terms k c cancel, k (m/g) y_f vanishes mod m, and each edge keeps the
+single row
+
+    sum_e y = g/2 (mod g).
+
+So modulus m is solvable exactly when g is, and a solution y at g gives the
+gauge (m/g) y at m.  Every system solved here has a modulus dividing k; at
+g = 2 it is the odd-bipartiteness system that ``hypergraphs.odd_bipartition``
+solves.  Solving is exact integer arithmetic: CRT split of the modulus into
+prime powers by trial division, minimal-valuation elimination per component,
+with saturation rows making back-substitution complete.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from hyperspec.hypergraphs import Hypergraph, odd_bipartition
+from hyperspec.graphs import MAX_VERTEX_COUNT
+from hyperspec.hypergraphs import Hypergraph
 from hyperspec.tensors import Gauge, verify_diagonal_similarity
 
 __all__ = [
@@ -58,18 +68,13 @@ class ModularSystem:
 
 
 def build_similarity_system(h: Hypergraph, m: int) -> ModularSystem:
-    """Congruence system whose solutions are exact similarity certificates.
+    """The similarity system at an even modulus m dividing k: one row per edge.
 
-    One system serves both similarities (Laplacian to signless, adjacency to
-    its negation): each imposes the same edgewise sign flip.  The offset is
-    m/2, so the modulus must be even.
-
-    The k congruences of an edge, sum over e minus k times member i, differ
-    only by k times a difference of two members.  So each edge e with first
-    member f gets one row sum_e theta - k theta_f = m/2 and, unless m divides
-    k, the rows k (theta_v - theta_f) = 0 for v in e[1:]: a unimodular change
-    of rows with the same solutions.  At m = 2 this is the GF(2)
-    odd-bipartiteness system, one row per edge.
+    Row e reads sum_e theta = m/2 (mod m).  The module docstring shows why
+    any other even modulus reduces to gcd(k, m), and ``certificate_report``
+    does that reduction.  One system serves both similarities (Laplacian to
+    signless, adjacency to its negation): each imposes the same edgewise sign
+    flip.  At m = 2 this is the GF(2) odd-bipartiteness system.
     """
     if m < 2 or m % 2:
         raise ValueError("the similarity offset m/2 needs an even modulus")
@@ -77,99 +82,29 @@ def build_similarity_system(h: Hypergraph, m: int) -> ModularSystem:
         raise ValueError("similarity systems need an even edge rank")
     if not h.is_uniform:
         raise ValueError("similarity systems need a uniform hypergraph")
-    k = h.k
-    rows = []
-    for f, *rest in h.full_edges:
-        rows.append((((f, (1 - k) % m),) + tuple((v, 1) for v in rest), m // 2))
-        if k % m:
-            rows.extend((((f, -k % m), (v, k % m)), 0) for v in rest)
-    return ModularSystem(m, h.vertex_count, tuple(rows))
+    if h.k % m:
+        raise ValueError(f"modulus {m} does not divide the edge rank {h.k}")
+    rows = tuple((tuple((v, 1) for v in e), m // 2) for e in h.full_edges)
+    return ModularSystem(m, h.vertex_count, rows)
 
 
 # -- solver -------------------------------------------------------------------
 
 
-# the first twelve primes: trial divisors, and Miller-Rabin bases that
-# decide primality exactly below 3.3e24
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases, for odd n > 37.
-
-    Exact below 3.3e24; beyond that, a composite passing all twelve bases
-    would be taken for a prime.
-    """
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of an odd composite n with no factor up to 37.
-
-    Brent's cycle search on x -> x^2 + c, batching gcds over 128 steps and
-    retrying with the next c when a batch overshoots to n; deterministic.
-    The expected work grows like the square root of the smallest prime
-    factor.
-    """
-    c = 0
-    while True:
-        c += 1
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 def _factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as ascending (prime, exponent) pairs.
 
-    Trial division by the first twelve primes, then Miller-Rabin and
-    Pollard-Brent on what is left.
+    Trial division, which is enough below the modulus cap of ``solve_mod_m``.
     """
     counts: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    p = 2
+    while p * p <= m:
         while m % p == 0:
             m //= p
             counts[p] = counts.get(p, 0) + 1
-    pending = [m] if m > 1 else []
-    while pending:
-        n = pending.pop()
-        if n < _SMALL_PRIMES[-1] ** 2 or _is_prime(n):
-            counts[n] = counts.get(n, 0) + 1
-        else:
-            d = _pollard_brent(n)
-            pending += [d, n // d]
+        p += 1
+    if m > 1:
+        counts[m] = counts.get(m, 0) + 1
     return sorted(counts.items())
 
 
@@ -198,13 +133,13 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
     cover only the rows that have joined.  A pivot row leaves by being
     zeroed.  The pivot of a column is the first row of least p^v = gcd(a, q);
     gcd(0, q) = q marks rows without the column.  The dtype holds every
-    intermediate exactly: int16 while q^2 < 2^15, int64 while q < 2^31,
-    Python integers beyond.
+    intermediate exactly: int16 while q^2 < 2^15, int64 beyond, since q is at
+    most the modulus cap 2^20.
     """
     q = p**e
     nvars = system.variable_count
     size = len(system.rows)
-    dtype = np.int16 if q * q < 2**15 else np.int64 if q < 2**31 else object
+    dtype = np.int16 if q * q < 2**15 else np.int64
     at = np.array([i for i, (row, _) in enumerate(system.rows) for _ in row], np.intp)
     var = np.array([v for row, _ in system.rows for v, _ in row], np.intp)
     repeated = (at[1:] == at[:-1]) & (var[1:] <= var[:-1])
@@ -280,8 +215,15 @@ def solve_mod_m(system: ModularSystem) -> Gauge | None:
     recombines by CRT.  Free variables are zero, so reruns agree bit for bit.
     Absence of a solution is a definitive answer for this modulus.  A row
     whose variables do not strictly increase within [0, variable_count)
-    raises ValueError.
+    raises ValueError.  So does a modulus above ``MAX_VERTEX_COUNT`` (2^20):
+    similarity systems are solved at divisors of k, which the hypergraph
+    reader caps there, and below the cap trial division factors the modulus
+    at once and int64 holds every product of two residues.
     """
+    if system.modulus > MAX_VERTEX_COUNT:
+        raise ValueError(
+            f"modulus {system.modulus} exceeds the solver cap {MAX_VERTEX_COUNT}"
+        )
     nvars = system.variable_count
     parts: list[tuple[list[int], int]] = []
     for p, e in _factorize(system.modulus):
@@ -302,47 +244,66 @@ def solve_mod_m(system: ModularSystem) -> Gauge | None:
 
 
 def certificate_report(h: Hypergraph, moduli: Sequence[int] | None = None) -> dict:
-    """Probe root-of-unity similarity certificates at several moduli.
+    """Decide diagonal similarity of L and Q exactly; report gauges at moduli.
 
-    Defaults to moduli {2, k, 2k}.  Every found gauge is verified exactly
-    against the entrywise tensor identity before being reported.  Absence at
-    the probed moduli is reported as inconclusive, never as a proof that no
-    certificate exists.
+    Any invertible diagonal D = diag(d) with D^-(k-1) Q D = L gives, after
+    scaling, a gauge at modulus k.  The diagonal entries agree for every D;
+    at the entries of edge e led by member i the identity reads
+    prod_e d = -d_i^k.  So d_i^k, and with it |d_i|, is constant on each
+    edge, hence on the connected hypergraph.  Both sides are unchanged when
+    D is scaled, so |d| = 1 and d_v = exp(i theta_v), with
+    k (theta_i - theta_j) in 2 pi Z along every edge.  Then theta = theta_0 + 2 pi y / k for integers y, theta_0
+    cancels, and what is left is sum_e y = k/2 (mod k): the system at
+    modulus k.  Its solvability therefore decides, for every invertible
+    diagonal, whether one makes L and Q similar; the first summary line
+    says which.  The adjacency tensor and its negation obey the same edge
+    condition.
+
+    Defaults to moduli {2, k, 2k}; each must be even and at least 2.  One
+    system is solved per distinct g in {2, k} and gcd(k, m) over the moduli,
+    and modulus m reports the gauge (m/g) y of the solution y at g (see the
+    module docstring).  Every reported gauge is verified exactly against
+    both entrywise tensor identities.  ``odd_bipartite`` is the solvability
+    at g = 2.
     """
     if not h.is_connected():
         raise ValueError("certificate reports need a connected hypergraph")
+    k = h.k
     if moduli is None:
-        moduli = (2, h.k, 2 * h.k)
+        moduli = (2, k, 2 * k)
     moduli = sorted(set(int(m) for m in moduli))
-    results: dict[int, dict] = {}
-    any_found = False
+    if any(m < 2 or m % 2 for m in moduli):
+        raise ValueError("the similarity offset m/2 needs an even modulus")
+    # g = 2 first: its build rejects an odd rank or loop edges
+    orders = [2] + sorted({k} | {math.gcd(k, m) for m in moduli} - {2})
+    solutions = {g: solve_mod_m(build_similarity_system(h, g)) for g in orders}
+    results: dict[str, dict] = {}
     for m in moduli:
-        system = build_similarity_system(h, m)
-        gauge = solve_mod_m(system)
+        g = math.gcd(k, m)
+        y = solutions[g]
+        gauge = None if y is None else Gauge(m, tuple(m // g * p for p in y.phases))
         if gauge is not None:
             if not verify_diagonal_similarity(h, "laplacian", "signless", 1, gauge):
                 raise AssertionError("found gauge failed exact verification")
             if not verify_diagonal_similarity(h, "adjacency", "adjacency", -1, gauge):
                 raise AssertionError("found gauge failed exact verification")
-            any_found = True
-        results[m] = {
+        results[str(m)] = {
             "solvable": gauge is not None,
             "gauge": gauge.to_json_dict() if gauge is not None else None,
         }
-    odd_bip = odd_bipartition(h) is not None
-    summary = []
-    if any_found:
-        summary.append(
+    odd_bip = solutions[2] is not None
+    if solutions[k] is not None:
+        summary = [
             "exact certificate found: the Laplacian and signless Laplacian "
             "tensors are diagonally similar, so their spectra coincide, the "
             "spectral radii agree, and the adjacency spectrum is symmetric "
             "about the origin"
-        )
+        ]
     else:
-        summary.append(
-            "no root-of-unity certificate of order dividing the probed moduli; "
-            "inconclusive for arbitrary unit-modulus diagonals"
-        )
+        summary = [
+            "no invertible diagonal matrix makes L and Q similar: the "
+            "similarity system at modulus k has no solution"
+        ]
     if odd_bip:
         summary.append("odd-bipartite: the certificate can be taken real (signs)")
     else:
@@ -350,8 +311,4 @@ def certificate_report(h: Hypergraph, moduli: Sequence[int] | None = None) -> di
             "not odd-bipartite: any similarity certificate is necessarily non-real "
             "and the Laplacian H-spectrum differs from the signless one"
         )
-    return {
-        "moduli": {str(m): results[m] for m in moduli},
-        "odd_bipartite": odd_bip,
-        "summary": summary,
-    }
+    return {"moduli": results, "odd_bipartite": odd_bip, "summary": summary}

@@ -138,7 +138,8 @@ def generalized_power(g: LoopedGraph, k: int, s: int) -> tuple[Hypergraph, HalfE
     Base vertex u becomes the half edge (u*s, ..., u*s + s - 1) whose anchor is
     its lowest index; for s < k/2 each base edge also receives k - 2s fresh
     vertices.  Loops are only meaningful for s = k/2, where a base loop at u
-    becomes a loop edge on the half edge of u.
+    becomes a loop edge on the half edge of u.  A power of more than
+    ``MAX_VERTEX_COUNT`` vertices raises ValueError before any allocation.
     """
     if k < 3:
         raise ValueError("generalized powers need k >= 3")
@@ -151,13 +152,15 @@ def generalized_power(g: LoopedGraph, k: int, s: int) -> tuple[Hypergraph, HalfE
         raise ValueError("loops are only supported for s = k/2")
 
     n = g.vertex_count
-    half_edges = tuple(tuple(range(u * s, u * s + s)) for u in range(n))
     extra = k - 2 * s
+    total = n * s + extra * len(g.edges)
+    if total > MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {total} exceeds the cap {MAX_VERTEX_COUNT}")
+    half_edges = tuple(tuple(range(u * s, u * s + s)) for u in range(n))
     edge_vertices = tuple(
         tuple(range(n * s + j * extra, n * s + (j + 1) * extra))
         for j in range(len(g.edges))
     )
-    total = n * s + extra * len(g.edges)
 
     edges: list[tuple[int, ...]] = []
     for j, (u, v) in enumerate(g.edges):
@@ -232,6 +235,9 @@ def from_json_dict(payload: dict) -> tuple[Hypergraph, HalfEdgeMap | None]:
         raise ValueError("hypergraph JSON n and k must be integers")
     if n > MAX_VERTEX_COUNT:
         raise ValueError(f"vertex count {n} exceeds the cap {MAX_VERTEX_COUNT}")
+    # an edge of more than n vertices cannot be full, so k shares the cap
+    if k > MAX_VERTEX_COUNT:
+        raise ValueError(f"edge rank {k} exceeds the cap {MAX_VERTEX_COUNT}")
     h = Hypergraph(n, k, _vertex_lists(edges, "edges"))
     halfmap = None
     if "half_edges" in payload:

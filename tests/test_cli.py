@@ -243,7 +243,9 @@ class TestSpectrumCommand:
 
 
 # stdout sha256 of each command in each format, recorded before the CLI lost
-# its shared option set and the reduction its second stack builder
+# its shared option set and the reduction its second stack builder; the
+# certificate json and pretty digests were recorded again when the first
+# summary line became the decision at modulus k (C3 at k = 6 has none)
 RECORDED = [
     ("spectrum --format json", "a13f38bd8e2a9ca971f902f5f8ab38472a3ad3a2f869f1e466cf7bd07c9066b9"),
     ("spectrum --format json --h-only", "6b37475c844cbfccfab94553c5c3e10d8b24044cbced22cfd2b1b0c8ac87dd50"),
@@ -254,9 +256,9 @@ RECORDED = [
     ("verify --format json", "b30672540d2a4f25e4ae9de774512df2332454ae68c550c7006c8172784fcab3"),
     ("verify --format csv", "e1741c820b75a94f79c44ec7efa85eec10fc961d4e54cc5ce1e2e3c6a162eedb"),
     ("verify --format pretty", "fd9248c38fa90cf23b0e5eeefb39f7785f5a9101bd9ab58f0c86dd3f52238444"),
-    ("certificate --format json", "31f6e6b7417ab3f5135a1d7e9da77e7eb5c9e364099f69fbef35475c8aba85ae"),
+    ("certificate --format json", "9c9093fa43e63f1f9ed7270842f72815e2015617bb9a3ca2a37f24b89d70dfd8"),
     ("certificate --format csv", "023607c1e80b746c2dcfc6f75af7be5c42cba43089ed47a6912e98aba164450b"),
-    ("certificate --format pretty", "40af82e24b1134f152450187bcea7527ecfa0b71e5f69ff7c85c4604b18fc38d"),
+    ("certificate --format pretty", "7ad3327208742e5457a2caedd7e9f1df1b2733f900c7f6786cd246a597abe1e4"),
     ("power", "ec9bbe48fd72258d9ba6793bdabfd8cf753eef344f9db2938d1b8cce308fc1d2"),
 ]
 
@@ -583,6 +585,15 @@ class TestCertificateCommand:
         assert payload["moduli"]["2"]["solvable"]
         assert payload["odd_bipartite"]
 
+    @pytest.mark.parametrize("moduli", ["0", "-4", "5", "4,5"])
+    def test_moduli_that_are_not_even_and_positive_are_input_errors(
+        self, triangle_file, tmp_path, capsys, moduli
+    ):
+        hfile = tmp_path / "h.json"
+        assert run_cli(["power", "--input", triangle_file, "--k", "4", "--out", str(hfile)]) == 0
+        assert run_cli(["certificate", "--input", str(hfile), "--moduli", moduli]) == 2
+        assert "even modulus" in capsys.readouterr().err
+
     def test_bad_json_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -663,6 +674,44 @@ class TestVertexCountCap:
     def test_the_cap_itself_is_accepted(self):
         h, _ = from_json_dict({"n": MAX_VERTEX_COUNT, "k": 4, "edges": []})
         assert h.vertex_count == MAX_VERTEX_COUNT
+
+    @pytest.mark.parametrize("k", [2**62 - 2, 10**12, MAX_VERTEX_COUNT + 1])
+    def test_hypergraph_json_k_past_the_cap(self, tmp_path, capsys, k):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 1, "k": k, "edges": []}))
+        tracemalloc.start()
+        try:
+            code = run_cli(["certificate", "--input", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"edge rank {k} exceeds the cap" in capsys.readouterr().err
+        assert peak < 2**20
+
+    def test_a_rank_at_the_cap_is_certified(self, tmp_path, capsys):
+        # no edge fits, so the systems at 2 and k have no rows
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 1, "k": MAX_VERTEX_COUNT, "edges": []}))
+        assert run_cli(["certificate", "--input", str(path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "modulus,solvable",
+            "2,True",
+            f"{MAX_VERTEX_COUNT},True",
+            f"{2 * MAX_VERTEX_COUNT},True",
+        ]
+
+    @pytest.mark.parametrize("k", [4 * 10**12, 2**21])
+    def test_power_past_the_cap(self, triangle_file, capsys, k):
+        tracemalloc.start()
+        try:
+            code = run_cli(["power", "--input", triangle_file, "--k", str(k)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"vertex count {3 * k // 2} exceeds the cap" in capsys.readouterr().err
+        assert peak < 2**20
 
 
 def run_module(module, argv):

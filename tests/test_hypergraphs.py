@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspec.graphs import LoopedGraph, cycle_graph, path_graph
+from hyperspec.graphs import MAX_VERTEX_COUNT, LoopedGraph, cycle_graph, path_graph
 from hyperspec.hypergraphs import (
     HalfEdgeMap,
     Hypergraph,
@@ -132,6 +132,26 @@ class TestGeneralizedPower:
             generalized_power(g, 4, 0)
         with pytest.raises(ValueError):
             generalized_power(LoopedGraph(1, [], {0: 1}), 6, 2)  # loops need s=k/2
+
+    @pytest.mark.parametrize(
+        "k, s, count",
+        [
+            (2**21, 2**20, 3 * 2**20),
+            (2 * MAX_VERTEX_COUNT, 1, 3 + 3 * (2 * MAX_VERTEX_COUNT - 2)),
+            (10**15, 1, 3 + 3 * (10**15 - 2)),
+        ],
+    )
+    def test_power_past_the_vertex_cap(self, k, s, count):
+        # checked before the half edges are laid out, so this allocates nothing large
+        with pytest.raises(ValueError, match=f"vertex count {count} exceeds the cap"):
+            generalized_power(cycle_graph(3), k, s)
+
+    def test_power_at_the_vertex_cap(self):
+        single = LoopedGraph(1, [])
+        h, _ = generalized_power(single, 2 * MAX_VERTEX_COUNT, MAX_VERTEX_COUNT)
+        assert h.vertex_count == MAX_VERTEX_COUNT
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            generalized_power(single, 2 * MAX_VERTEX_COUNT + 2, MAX_VERTEX_COUNT + 1)
 
 
 class TestHypergraphBasics:

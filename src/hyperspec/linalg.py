@@ -1,8 +1,10 @@
 """Dense eigensolvers with residual certificates, Perron iteration, spectrum sets.
 
 Eigenvalues come from LAPACK through numpy (Hessenberg reduction plus shifted
-QR underneath); every returned pair is certified a posteriori by its residual,
-with inverse-iteration refinement as a fallback.  The nonnegative power
+QR underneath).  Every returned pair is certified a posteriori by its
+residual, with inverse-iteration refinement as a fallback; the values-only
+complex solver returns no pairs and certifies nothing, and its callers
+certify the values they report with the pair solver.  The nonnegative power
 iteration is written out longhand so it stays an independent cross-check of
 the dense solvers.
 """
@@ -25,6 +27,7 @@ __all__ = [
     "eig_real_symmetric_stack",
     "eig_complex_pairs",
     "eig_complex_stack",
+    "eigvals_complex_stack",
     "spectral_radius",
     "power_iteration_nonneg",
 ]
@@ -162,6 +165,41 @@ def _refine_pair(
     return best_vec, best_res
 
 
+def _complex_stack(ms: np.ndarray, cap: int) -> np.ndarray:
+    """``ms`` as a complex (N, n, n) stack, checked for shape, cap and finiteness."""
+    ms = np.asarray(ms, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise ValueError("expected square matrices")
+    n = ms.shape[1]
+    if n > cap:
+        raise ValueError(f"matrix dimension {n} exceeds cap {cap}")
+    if not np.all(np.isfinite(ms)):
+        raise ValueError("matrix entries must be finite")
+    return ms
+
+
+def _real_imag_order(values: np.ndarray) -> np.ndarray:
+    """Per-row positions that sort ``values`` by (real, imag)."""
+    # lexsort is stable, so equal keys keep LAPACK's order as sorted() would
+    return np.lexsort((values.imag, values.real), axis=-1)
+
+
+def eigvals_complex_stack(ms: np.ndarray, cap: int = COMPLEX_CAP) -> np.ndarray:
+    """Eigenvalues of a stack of general complex matrices, without vectors.
+
+    Returns an (N, n) array, each row sorted by (real, imag), after the input
+    checks of :func:`eig_complex_stack`.  The values are not certified, but
+    they are bit for bit ``eig_complex_stack(ms)[0]``: numpy's ``eigvals`` and
+    ``eig`` both run LAPACK's zgeev, whose eigenvalues come from zlahqr for
+    every n < 75, and the eigenvector work never touches its active block.
+    So a caller certifies the values it reports by solving their matrices
+    again with :func:`eig_complex_stack`.
+    """
+    ms = _complex_stack(ms, cap)
+    values = np.linalg.eigvals(ms)
+    return np.take_along_axis(values, _real_imag_order(values), axis=-1)
+
+
 def eig_complex_stack(
     ms: np.ndarray, cap: int = COMPLEX_CAP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,19 +212,12 @@ def eig_complex_stack(
     inverse-iteration refinement; a pair still above raises ConvergenceError
     whose ``index`` is the position of its matrix in the stack.
     """
-    ms = np.asarray(ms, dtype=complex)
-    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
-        raise ValueError("expected square matrices")
+    ms = _complex_stack(ms, cap)
     n = ms.shape[1]
-    if n > cap:
-        raise ValueError(f"matrix dimension {n} exceeds cap {cap}")
-    if not np.all(np.isfinite(ms)):
-        raise ValueError("matrix entries must be finite")
     values, vectors = np.linalg.eig(ms)
     if n == 0:
         return values, vectors, np.zeros(values.shape)
-    # lexsort is stable, so equal keys keep LAPACK's order as sorted() would
-    order = np.lexsort((values.imag, values.real), axis=-1)
+    order = _real_imag_order(values)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     # divide each column by its largest-modulus entry, which becomes exactly 1
@@ -196,6 +227,9 @@ def eig_complex_stack(
         raise ValueError("cannot normalize the zero vector")
     vectors = vectors / pivots
     scale = np.maximum(1.0, np.max(np.sum(np.abs(ms), axis=2), axis=1))
+    # matmul, not einsum: np.linalg.eig has already made BLAS zgemm's buffers
+    # resident, while einsum's buffered iteration raised the peak resident
+    # memory of the spectrum jobs by about 0.4 MiB
     gaps = ms @ vectors - vectors * values[:, None, :]
     residuals = np.max(np.abs(gaps), axis=1) / scale[:, None]
     for i, j in np.argwhere(residuals > BACKWARD_ERROR_TOL):

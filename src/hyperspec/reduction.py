@@ -25,6 +25,7 @@ from hyperspec.linalg import (
     eig_complex_stack,
     eig_real_symmetric,
     eig_real_symmetric_stack,
+    eigvals_complex_stack,
 )
 
 __all__ = [
@@ -293,24 +294,75 @@ def _stacks(
         yield members, part, _phased_matrices(degrees, adjacency, members, k, part, kind)
 
 
+def _where(index: np.ndarray, phases: np.ndarray, row: int) -> str:
+    """The subset and phases of matrix ``row`` of one ``_stacks`` item."""
+    subset = tuple(index[row if len(index) > 1 else 0].tolist())
+    return f"subset {subset}, phases {tuple(phases[row].tolist())}"
+
+
 def _solve(
     index: np.ndarray, phases: np.ndarray, stack: np.ndarray, symmetric: bool
 ) -> np.ndarray:
     """Sorted eigenvalues of each matrix of one ``_stacks`` item, one row each.
 
-    The caller picks the solver: ``eig_real_symmetric_stack`` when
-    ``symmetric``, else ``eig_complex_stack``, whatever the stack's dtype.  A
-    failed certificate re-raises ConvergenceError naming the subset and
-    phases of its matrix.
+    The caller picks the solver: ``eig_real_symmetric_stack``, which
+    certifies every pair, when ``symmetric``, else the values-only
+    ``eigvals_complex_stack``, whatever the stack's dtype.  Complex values
+    are certified afterwards, by ``_certify``, for the matrices whose values
+    are reported.  A failed certificate re-raises ConvergenceError naming the
+    subset and phases of its matrix.
     """
-    solver = eig_real_symmetric_stack if symmetric else eig_complex_stack
     try:
-        return solver(stack)[0]
+        if symmetric:
+            return eig_real_symmetric_stack(stack)[0]
+        return eigvals_complex_stack(stack)
     except ConvergenceError as exc:
-        row = exc.index or 0
-        subset = tuple(index[row if len(index) > 1 else 0].tolist())
-        witness = f"subset {subset}, phases {tuple(phases[row].tolist())}"
-        raise ConvergenceError(f"{exc} at {witness}") from exc
+        where = _where(index, phases, exc.index or 0)
+        raise ConvergenceError(f"{exc} at {where}") from exc
+
+
+def _certify(
+    degrees: np.ndarray,
+    adjacency: np.ndarray,
+    k: int,
+    kind: str,
+    reported: dict[tuple[tuple[int, ...], tuple[int, ...]], Sequence[complex]],
+) -> None:
+    """Certify the reported eigenvalues of each (subset, phases) matrix.
+
+    The matrices are rebuilt through ``_stacks``, grouped by subset size, and
+    solved with ``eig_complex_stack``: every pair passes its 1e-9 residual
+    test, with ``_refine_pair`` as the fallback, and each reported value must
+    be one of the certified eigenvalues bit for bit.  Either failure raises
+    ConvergenceError naming the subset and phases of the matrix.
+    """
+    groups: dict[int, list] = {}
+    for (subset, phases), values in reported.items():
+        groups.setdefault(len(subset), []).append((subset, phases, values))
+    for size, entries in groups.items():
+        index = np.array([subset for subset, _, _ in entries])
+        phases = np.array([row for _, row, _ in entries])
+        # NaN pads the shorter lists and equals nothing
+        wanted = np.full((len(entries), size), np.nan, dtype=complex)
+        for row, (_, _, values) in enumerate(entries):
+            wanted[row, : len(values)] = values
+        done = 0
+        for members, part, stack in _stacks(degrees, adjacency, index, k, phases, kind):
+            try:
+                certified = eig_complex_stack(stack)[0]
+            except ConvergenceError as exc:
+                where = _where(members, part, exc.index or 0)
+                raise ConvergenceError(f"{exc} at {where}") from exc
+            block = wanted[done : done + len(part)]
+            hit = (block[:, :, None] == certified[:, None, :]).any(axis=2)
+            missed = np.argwhere(~hit & ~np.isnan(block))
+            if missed.size:
+                row, col = missed[0]
+                raise ConvergenceError(
+                    f"reported eigenvalue {complex(block[row, col])!r} is not a "
+                    f"certified eigenvalue at {_where(members, part, row)}"
+                )
+            done += len(part)
 
 
 def _identity_values(
@@ -451,6 +503,11 @@ def _spectrum_report(
     values = np.concatenate([v.ravel() for _, _, v in blocks]) if blocks else []
     witnesses = _Witnesses(k, kind, blocks)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
+    if not identity_only:
+        reported: dict = {}
+        for w in spectrum.witnesses:
+            reported.setdefault((w.subset, w.phase.phases), []).append(w.eigenvalue)
+        _certify(*matrices, k, kind, reported)
     return SpectrumReport(kind, k, spectrum, complete, used)
 
 
@@ -468,6 +525,13 @@ def spectrum_power(
     Unions the eigenvalues of every reduced matrix over connected subsets and
     phase classes, deduplicated at ``dedup_tol``.  Results under an exhausted
     budget are flagged incomplete, never silently truncated.
+
+    The matrices are solved for values only.  Each distinct witness matrix
+    of the result is then solved again with certified pairs, and its witness
+    eigenvalues must be among them bit for bit; a failure raises
+    ConvergenceError naming the witness.  The other enumerated values are not
+    certified one by one: their accuracy rests on the backward stability of
+    LAPACK's Hessenberg QR algorithm, as for the matrices rho_power prunes.
     """
     return _spectrum_report(g, k, kind, dedup_tol, max_subset, budget, False)
 
@@ -509,12 +573,15 @@ def _below(bound: float | np.ndarray, threshold: float):
 
 
 class _TopModulus:
-    """Running maximum eigenvalue modulus of rho_power and the rows tied with it."""
+    """Running maximum eigenvalue modulus of rho_power and the rows tied with it.
+
+    Each tied row keeps its top modulus, its witness and its eigenvalues.
+    """
 
     def __init__(self, k: int, kind: str, tie_tol: float) -> None:
         self.k, self.kind, self.tie_tol = k, kind, tie_tol
         self.top = -np.inf
-        self.tied: list[tuple[float, ReductionWitness]] = []
+        self.tied: list[tuple[float, ReductionWitness, np.ndarray]] = []
 
     @property
     def threshold(self) -> float:
@@ -536,7 +603,7 @@ class _TopModulus:
             j = np.flatnonzero(nonneg if nonneg.any() else near)[0]
             assign = PhaseAssignment(self.k, tuple(phases[i].tolist()))
             witness = ReductionWitness(subset, assign, self.kind, complex(values[i, j]))
-            self.tied.append((row_top, witness))
+            self.tied.append((row_top, witness, values[i].copy()))
 
 
 def rho_power(
@@ -563,9 +630,12 @@ def rho_power(
     cannot reach the final one either; the maximum and the tied set (every
     row at or above the final threshold, with its witness the minimum of
     unique keys) do not depend on the order of the solves.  The result is
-    therefore the one of the unpruned enumeration; pruned matrices are
-    covered by their certified bound instead of per-pair residuals.  Bounds
-    come at two levels.
+    therefore the one of the unpruned enumeration.  Solves are values-only;
+    at the end every tied row is solved again with certified pairs and must
+    give the same eigenvalues bit for bit, else ConvergenceError names it.
+    Pruned matrices are covered by their certified bound, and the other
+    solved ones by the backward stability of the eigensolver, instead of
+    per-pair residuals.  Bounds come at two levels.
 
     Subsets.  Entrywise |D[U] - E A[U] E| = D[U] + A[U], so
     beta(U) = rho(D[U] + A[U]) (rho(A[U]) for the adjacency kind) bounds
@@ -626,8 +696,10 @@ def rho_power(
         solve(subset, phases)
     if not found.tied:
         raise ValueError("reduction produced no matrices")
+    reported = {(w.subset, w.phase.phases): row for _, w, row in found.tied}
+    _certify(*matrices, k, kind, reported)
     witness = min(
-        (w for _, w in found.tied),
+        (w for _, w, _ in found.tied),
         key=lambda w: (len(w.subset), w.subset, w.phase.phases),
     )
     return RhoResult(found.top, witness, complete, used)

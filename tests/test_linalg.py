@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from hyperspec import linalg, reduction
 from hyperspec.graphs import cycle_graph
 from hyperspec.linalg import (
+    COMPLEX_CAP,
     MIN_DEDUP_TOL,
     ConvergenceError,
     SpectrumSet,
     eig_complex_pairs,
+    eig_complex_stack,
     eig_real_symmetric,
+    eigvals_complex_stack,
     power_iteration_nonneg,
     spectral_radius,
 )
@@ -123,6 +126,85 @@ class TestEigComplexPairs:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             eig_complex_pairs(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+
+def hex_rows(values):
+    """Each value of a stack of eigenvalue rows as its float.hex pair."""
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in values.tolist()]
+
+
+@st.composite
+def complex_symmetric_stacks(draw):
+    """A few complex symmetric matrices of one size up to COMPLEX_CAP: Gaussian
+    entries, or D - E A E for a random graph and random 12th roots of unity,
+    which are often nearly defective, or the real D - A of the zero phases."""
+    n = draw(st.integers(0, COMPLEX_CAP))
+    count = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["gaussian", "phased", "real"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "gaussian":
+        b = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+        return b + b.transpose(0, 2, 1)
+    a = np.triu(rng.random((count, n, n)) < 0.4, 1).astype(float)
+    a = a + a.transpose(0, 2, 1)
+    diag = np.zeros((count, n, n))
+    diag[:, range(n), range(n)] = a.sum(axis=2)
+    if family == "real":
+        return diag - a
+    units = np.exp(2j * np.pi * rng.integers(0, 12, size=(count, n)) / 12)
+    return diag - units[:, :, None] * units[:, None, :] * a
+
+
+class TestEigvalsComplexStack:
+    """The values-only solver returns the values of eig_complex_stack bit for bit.
+
+    numpy's ``eigvals`` and ``eig`` both run LAPACK's zgeev.  For every
+    n < 75, and COMPLEX_CAP is 64, zgeev computes the eigenvalues with zlahqr,
+    and asking for eigenvectors only adds work outside zlahqr's active block:
+    the Schur update of the rows and columns beyond it and the accumulated
+    transformations.  The values are therefore the same bits, and the
+    reduction reports values-only eigenvalues while certifying them with
+    eig_complex_stack.  A numpy or LAPACK upgrade that breaks this premise
+    fails here instead of silently moving output bytes.
+    """
+
+    @settings(max_examples=60)
+    @given(ms=complex_symmetric_stacks())
+    def test_matches_the_pair_solver_bit_for_bit(self, ms):
+        assert hex_rows(eigvals_complex_stack(ms)) == hex_rows(eig_complex_stack(ms)[0])
+
+    def test_matches_the_pair_solver_on_the_c7_sixth_power_stacks(self, monkeypatch):
+        stacks = []
+        solve = reduction.eigvals_complex_stack
+
+        def recording(ms, *args, **kwargs):
+            stacks.append(ms)
+            return solve(ms, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "eigvals_complex_stack", recording)
+        report = reduction.spectrum_power(cycle_graph(7), 6, "L")
+        assert sum(len(ms) for ms in stacks) == report.budget_used == 9831
+        for ms in stacks:
+            assert hex_rows(solve(ms)) == hex_rows(eig_complex_stack(ms)[0])
+
+    def test_rows_are_sorted_by_real_then_imaginary_part(self):
+        values = eigvals_complex_stack(np.diag([1j, -1j, 2.0, -1.0 + 0.5j])[None])
+        assert values.tolist() == [[-1.0 + 0.5j, -1j, 1j, 2.0]]
+
+    @pytest.mark.parametrize(
+        "ms, message",
+        [
+            (np.eye(3, dtype=complex), "square"),
+            (np.ones((1, 2, 3)), "square"),
+            (np.eye(5, dtype=complex)[None], "cap"),
+            (np.array([[[np.inf, 0], [0, 1]]], dtype=complex), "finite"),
+        ],
+    )
+    def test_rejects_what_the_pair_solver_rejects(self, ms, message):
+        with pytest.raises(ValueError, match=message):
+            eigvals_complex_stack(ms, cap=4)
+        with pytest.raises(ValueError, match=message):
+            eig_complex_stack(ms, cap=4)
 
 
 class TestSpectralRadius:

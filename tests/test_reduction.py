@@ -22,7 +22,6 @@ from hyperspec.linalg import (
     ConvergenceError,
     SpectrumSet,
     eig_complex_pairs,
-    eig_complex_stack,
     eig_real_symmetric,
     eig_real_symmetric_stack,
     spectral_radius,
@@ -519,15 +518,17 @@ def connected_graphs(draw, max_vertices):
     return LoopedGraph(n, [(label[u], label[v]) for u, v in sorted(tree | extra)])
 
 
-def _count_solved_rows(monkeypatch):
-    """Route reduction's complex solves through a counter of solved rows."""
+def _count_solved_rows(monkeypatch, solver="eigvals_complex_stack"):
+    """Route reduction's calls of ``solver``, by default its values-only
+    complex solves, through a counter of solved rows."""
     rows = []
+    solve = getattr(reduction, solver)
 
     def counting(ms, *args, **kwargs):
         rows.append(len(ms))
-        return eig_complex_stack(ms, *args, **kwargs)
+        return solve(ms, *args, **kwargs)
 
-    monkeypatch.setattr(reduction, "eig_complex_stack", counting)
+    monkeypatch.setattr(reduction, solver, counting)
     return rows
 
 
@@ -651,10 +652,14 @@ class TestPrunedAndStackedSolves:
 
         monkeypatch.setattr(reduction, "_STACK_ENTRIES", 100)
         monkeypatch.setattr(reduction, "_phased_matrices", recording)
+        certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
         chunked = spectrum_power(g, 6, "laplacian").to_json_dict()
         assert _canonical(chunked) == _canonical(whole)
         assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
-        assert sum(n for n, _, _ in shapes) == chunked["budget_used"] == 1023
+        # every planned matrix is built once, and every witness matrix once more
+        witnesses = {(tuple(w["subset"]), tuple(w["phases"])) for w in chunked["witnesses"]}
+        assert sum(certified) == len(witnesses)
+        assert sum(n for n, _, _ in shapes) - sum(certified) == chunked["budget_used"] == 1023
         assert len(shapes) > 100
 
     def test_tie_tolerance_outside_the_unit_interval_is_rejected(self):
@@ -690,3 +695,109 @@ class TestPrunedAndStackedSolves:
         assert report.complete and report.budget_used == 568
         # about 0.8 MiB when measured, most of it the witnesses and the dedup
         assert peak < 1.5 * 2**20
+
+
+def _planned(g, k):
+    """Every planned (subset, phases) at default settings, in plan order."""
+    return [
+        (subset, phases)
+        for subset in connected_subsets(g, g.vertex_count)
+        for phases in phase_classes(len(subset), k)
+    ]
+
+
+def _named_matrix(error):
+    """The (subset, phases) that a ConvergenceError message names."""
+    found = re.search(r"subset (\(.*?\)), phases (\(.*?\))$", str(error))
+    assert found, str(error)
+    return tuple(ast.literal_eval(group) for group in found.groups())
+
+
+def _hex(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+class TestCertifiedWitnesses:
+    def test_only_the_witness_matrices_are_certified(self, monkeypatch):
+        g, k = cycle_graph(5), 8
+        solved = _count_solved_rows(monkeypatch)
+        certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
+        report = spectrum_power(g, k, "laplacian")
+        witnesses = report.spectrum.witnesses
+        matrices = {(w.subset, w.phase.phases) for w in witnesses}
+        assert sum(solved) == report.budget_used == 2724
+        assert sum(certified) == len(matrices) == 204
+        for w in witnesses:
+            pairs = eig_complex_pairs(reduced_matrix(g, k, w.subset, w.phase.phases))
+            hits = [p for p in pairs if _hex([p.value]) == _hex([w.eigenvalue])]
+            assert hits and all(p.residual <= 1e-9 for p in hits)
+
+    def test_every_tied_rho_row_is_certified(self, monkeypatch):
+        g, k, tie_tol = complete_graph(4), 6, 0.05
+        certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
+        reported = []
+        certify = reduction._certify
+
+        def recording(*args):
+            reported.append(args[-1])
+            return certify(*args)
+
+        monkeypatch.setattr(reduction, "_certify", recording)
+        result = rho_power(g, k, "laplacian", tie_tol=tie_tol)
+        # tied: every planned matrix whose top modulus reaches the final threshold
+        threshold = result.value - tie_tol * max(1.0, result.value)
+        tied = {}
+        for subset, phases in _planned(g, k):
+            pairs = eig_complex_pairs(reduced_matrix(g, k, subset, phases))
+            if max(abs(p.value) for p in pairs) >= threshold:
+                tied[(subset, phases)] = pairs
+        (rows,) = reported
+        assert rows.keys() == tied.keys()
+        assert sum(certified) == len(tied) > 1
+        for key, pairs in tied.items():
+            assert _hex(rows[key]) == _hex(p.value for p in pairs)
+            assert all(p.residual <= 1e-9 for p in pairs)
+
+    def test_a_wrong_reported_spectrum_value_is_caught(self, monkeypatch):
+        g, k, target = cycle_graph(5), 8, 1000
+        solve = reduction.eigvals_complex_stack
+        seen = []
+
+        def moving(ms, *args, **kwargs):
+            values = solve(ms, *args, **kwargs)
+            row = target - sum(seen)
+            if 0 <= row < len(values):
+                values[row, 0] += 1e-6
+            seen.append(len(values))
+            return values
+
+        monkeypatch.setattr(reduction, "eigvals_complex_stack", moving)
+        with monkeypatch.context() as uncertified:
+            uncertified.setattr(reduction, "_certify", lambda *args: None)
+            report = spectrum_power(g, k, "laplacian")
+        # the moved value is emitted on its own, witnessed by its matrix
+        subset, phases = _planned(g, k)[target]
+        moved = eig_complex_pairs(reduced_matrix(g, k, subset, phases))[0].value + 1e-6
+        w = report.spectrum.witnesses[report.values.index(moved)]
+        assert (w.subset, w.phase.phases, w.eigenvalue) == (subset, phases, moved)
+        seen.clear()
+        with pytest.raises(ConvergenceError, match="not a certified eigenvalue") as info:
+            spectrum_power(g, k, "laplacian")
+        assert _named_matrix(info.value) == (subset, phases)
+
+    @pytest.mark.parametrize(
+        "g, k", [(cycle_graph(5), 8), (complete_graph(4), 12)], ids=["C5-k8", "K4-k12"]
+    )
+    def test_a_pushed_up_rho_row_is_caught(self, monkeypatch, g, k):
+        want = rho_power(g, k, "laplacian").witness
+        solve = reduction.eigvals_complex_stack
+
+        def pushing(ms, *args, **kwargs):
+            values = solve(ms, *args, **kwargs)
+            values[np.argmax(np.abs(values).max(axis=1))] *= 1 + 1e-6
+            return values
+
+        monkeypatch.setattr(reduction, "eigvals_complex_stack", pushing)
+        with pytest.raises(ConvergenceError, match="not a certified eigenvalue") as info:
+            rho_power(g, k, "laplacian")
+        assert _named_matrix(info.value) == (want.subset, want.phase.phases)

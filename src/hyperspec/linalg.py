@@ -1,10 +1,9 @@
 """Dense eigensolvers with residual certificates, Perron iteration, spectrum sets.
 
 Eigenvalues come from LAPACK through numpy (Hessenberg reduction plus shifted
-QR underneath).  Every returned pair is certified a posteriori by its
-residual, with inverse-iteration refinement as a fallback; the values-only
-complex solver returns no pairs and certifies nothing, and its callers
-certify the values they report with the pair solver.  The nonnegative power
+QR underneath); every returned pair is certified a posteriori by its residual,
+with inverse-iteration refinement as a fallback.  Values-only solves certify
+nothing; their callers certify what they report.  The nonnegative power
 iteration is written out longhand so it stays an independent cross-check of
 the dense solvers.
 """
@@ -178,26 +177,18 @@ def _complex_stack(ms: np.ndarray, cap: int) -> np.ndarray:
     return ms
 
 
-def _real_imag_order(values: np.ndarray) -> np.ndarray:
-    """Per-row positions that sort ``values`` by (real, imag)."""
-    # lexsort is stable, so equal keys keep LAPACK's order as sorted() would
-    return np.lexsort((values.imag, values.real), axis=-1)
-
-
-def eigvals_complex_stack(ms: np.ndarray, cap: int = COMPLEX_CAP) -> np.ndarray:
+def eigvals_complex_stack(ms: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of general complex matrices, without vectors.
 
     Returns an (N, n) array, each row sorted by (real, imag), after the input
-    checks of :func:`eig_complex_stack`.  The values are not certified, but
-    they are bit for bit ``eig_complex_stack(ms)[0]``: numpy's ``eigvals`` and
-    ``eig`` both run LAPACK's zgeev, whose eigenvalues come from zlahqr for
-    every n < 75, and the eigenvector work never touches its active block.
-    So a caller certifies the values it reports by solving their matrices
-    again with :func:`eig_complex_stack`.
+    checks of :func:`eig_complex_stack` at a fixed cap of ``COMPLEX_CAP``.
+    The values are uncertified but bit for bit ``eig_complex_stack(ms)[0]``:
+    numpy's ``eigvals`` and ``eig`` both run zgeev, whose eigenvalues come
+    from zlahqr for every n < 75 whether or not vectors are asked for.
     """
-    ms = _complex_stack(ms, cap)
-    values = np.linalg.eigvals(ms)
-    return np.take_along_axis(values, _real_imag_order(values), axis=-1)
+    # numpy orders complex values by (real, imag); stable keeps ties as eig's
+    values = np.linalg.eigvals(_complex_stack(ms, COMPLEX_CAP))
+    return np.sort(values, axis=-1, kind="stable")
 
 
 def eig_complex_stack(
@@ -217,7 +208,8 @@ def eig_complex_stack(
     values, vectors = np.linalg.eig(ms)
     if n == 0:
         return values, vectors, np.zeros(values.shape)
-    order = _real_imag_order(values)
+    # lexsort is stable, so equal keys keep LAPACK's order as sorted() would
+    order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     # divide each column by its largest-modulus entry, which becomes exactly 1

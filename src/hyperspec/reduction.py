@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
 from hyperspec.graphs import LoopedGraph, as_subset, connected_subsets
 from hyperspec.linalg import (
+    BACKWARD_ERROR_TOL,
     ConvergenceError,
     SpectrumSet,
     check_dedup_tol,
@@ -26,6 +26,14 @@ from hyperspec.linalg import (
     eig_real_symmetric,
     eig_real_symmetric_stack,
     eigvals_complex_stack,
+)
+from hyperspec.witnesses import (
+    KIND_LETTER,
+    PhaseAssignment,
+    ReductionWitness,
+    RhoResult,
+    SpectrumReport,
+    normalize_kind,
 )
 
 __all__ = [
@@ -50,51 +58,6 @@ DEDUP_TOL = 1e-8
 STRICT_MARGIN = 1e-6
 DEFAULT_MAX_SUBSET = 8
 DEFAULT_BUDGET = 10**6
-
-KIND_LETTER = {"adjacency": "A", "laplacian": "L", "signless": "Q"}
-_LETTER_KIND = {v: k for k, v in KIND_LETTER.items()}
-
-
-def normalize_kind(kind: str) -> str:
-    if kind in KIND_LETTER:
-        return kind
-    if kind in _LETTER_KIND:
-        return _LETTER_KIND[kind]
-    raise ValueError(f"unknown matrix kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class PhaseAssignment:
-    """Integer phases l_u in [0, k) encoding the diagonal of k-th roots of unity."""
-
-    k: int
-    phases: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 2 or self.k % 2:
-            raise ValueError("phase assignments need an even k >= 2")
-        for p in self.phases:
-            if not 0 <= p < self.k:
-                raise ValueError(f"phase {p} out of range [0, {self.k})")
-
-
-@dataclass(frozen=True)
-class ReductionWitness:
-    """Provenance of one reduced-matrix eigenvalue: the subset and phases."""
-
-    subset: tuple[int, ...]
-    phase: PhaseAssignment
-    kind: str
-    eigenvalue: complex
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subset": list(self.subset),
-            "k": self.phase.k,
-            "phases": list(self.phase.phases),
-            "kind": KIND_LETTER[self.kind],
-            "eigenvalue": [self.eigenvalue.real, self.eigenvalue.imag],
-        }
 
 
 def reduced_matrix(
@@ -166,55 +129,6 @@ def phase_classes(size: int, k: int) -> Iterator[tuple[int, ...]]:
     if k < 2 or k % 2:
         raise ValueError("phase classes need an even k >= 2")
     return itertools.product(range(k // 2), repeat=size)
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Deduplicated spectrum plus enumeration provenance."""
-
-    kind: str
-    k: int
-    spectrum: SpectrumSet
-    complete: bool
-    budget_used: int
-
-    @property
-    def values(self) -> tuple[complex, ...]:
-        return self.spectrum.values
-
-    def to_json_dict(self) -> dict:
-        witnesses = []
-        for w in self.spectrum.witnesses:
-            witnesses.append(w.to_json_dict() if w is not None else None)
-        return {
-            "kind": KIND_LETTER[self.kind],
-            "k": self.k,
-            "values": [[v.real, v.imag] for v in self.spectrum.values],
-            "witnesses": witnesses,
-            "complete": self.complete,
-            "budget_used": self.budget_used,
-        }
-
-
-@dataclass(frozen=True)
-class RhoResult:
-    """Spectral radius over the enumerated reduction, with its witness.
-
-    ``complete`` False marks a lower bound obtained under an exhausted budget.
-    """
-
-    value: float
-    witness: ReductionWitness
-    complete: bool
-    budget_used: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": self.witness.to_json_dict(),
-            "complete": self.complete,
-            "budget_used": self.budget_used,
-        }
 
 
 def _check_power_inputs(g: LoopedGraph, k: int) -> None:
@@ -294,31 +208,29 @@ def _stacks(
         yield members, part, _phased_matrices(degrees, adjacency, members, k, part, kind)
 
 
+def _solve(
+    solver: Callable[[np.ndarray], tuple],
+    index: np.ndarray,
+    phases: np.ndarray,
+    stack: np.ndarray,
+) -> np.ndarray:
+    """The sorted eigenvalues ``solver(stack)[0]`` of one ``_stacks`` item,
+    one row per matrix, from a solver that certifies every pair.
+
+    A failed certificate re-raises ConvergenceError naming the subset and
+    phases of its matrix.
+    """
+    try:
+        return solver(stack)[0]
+    except ConvergenceError as exc:
+        row = exc.index or 0
+        raise ConvergenceError(f"{exc} at {_where(index, phases, row)}") from exc
+
+
 def _where(index: np.ndarray, phases: np.ndarray, row: int) -> str:
     """The subset and phases of matrix ``row`` of one ``_stacks`` item."""
     subset = tuple(index[row if len(index) > 1 else 0].tolist())
     return f"subset {subset}, phases {tuple(phases[row].tolist())}"
-
-
-def _solve(
-    index: np.ndarray, phases: np.ndarray, stack: np.ndarray, symmetric: bool
-) -> np.ndarray:
-    """Sorted eigenvalues of each matrix of one ``_stacks`` item, one row each.
-
-    The caller picks the solver: ``eig_real_symmetric_stack``, which
-    certifies every pair, when ``symmetric``, else the values-only
-    ``eigvals_complex_stack``, whatever the stack's dtype.  Complex values
-    are certified afterwards, by ``_certify``, for the matrices whose values
-    are reported.  A failed certificate re-raises ConvergenceError naming the
-    subset and phases of its matrix.
-    """
-    try:
-        if symmetric:
-            return eig_real_symmetric_stack(stack)[0]
-        return eigvals_complex_stack(stack)
-    except ConvergenceError as exc:
-        where = _where(index, phases, exc.index or 0)
-        raise ConvergenceError(f"{exc} at {where}") from exc
 
 
 def _certify(
@@ -330,38 +242,28 @@ def _certify(
 ) -> None:
     """Certify the reported eigenvalues of each (subset, phases) matrix.
 
-    The matrices are rebuilt through ``_stacks``, grouped by subset size, and
-    solved with ``eig_complex_stack``: every pair passes its 1e-9 residual
-    test, with ``_refine_pair`` as the fallback, and each reported value must
-    be one of the certified eigenvalues bit for bit.  Either failure raises
-    ConvergenceError naming the subset and phases of the matrix.
+    The matrices, rebuilt through ``_stacks`` by subset size, are solved with
+    ``eig_complex_stack``, and each reported value must lie within 1e-9 of a
+    certified eigenvalue, relative to the matrix norm (they are the same bits
+    on current LAPACK builds).  A failure raises ConvergenceError naming the
+    subset and phases.
     """
-    groups: dict[int, list] = {}
-    for (subset, phases), values in reported.items():
-        groups.setdefault(len(subset), []).append((subset, phases, values))
-    for size, entries in groups.items():
-        index = np.array([subset for subset, _, _ in entries])
-        phases = np.array([row for _, row, _ in entries])
-        # NaN pads the shorter lists and equals nothing
-        wanted = np.full((len(entries), size), np.nan, dtype=complex)
-        for row, (_, _, values) in enumerate(entries):
-            wanted[row, : len(values)] = values
+    sizes: dict[int, list] = {}
+    for key in reported:
+        sizes.setdefault(len(key[0]), []).append(key)
+    for keys in sizes.values():
+        index, phases = map(np.array, zip(*keys))
         done = 0
         for members, part, stack in _stacks(degrees, adjacency, index, k, phases, kind):
-            try:
-                certified = eig_complex_stack(stack)[0]
-            except ConvergenceError as exc:
-                where = _where(members, part, exc.index or 0)
-                raise ConvergenceError(f"{exc} at {where}") from exc
-            block = wanted[done : done + len(part)]
-            hit = (block[:, :, None] == certified[:, None, :]).any(axis=2)
-            missed = np.argwhere(~hit & ~np.isnan(block))
-            if missed.size:
-                row, col = missed[0]
-                raise ConvergenceError(
-                    f"reported eigenvalue {complex(block[row, col])!r} is not a "
-                    f"certified eigenvalue at {_where(members, part, row)}"
-                )
+            certified = _solve(eig_complex_stack, members, part, stack)
+            norms = np.maximum(1.0, np.abs(stack).sum(axis=2).max(axis=1))
+            for row, key in enumerate(keys[done : done + len(part)]):
+                gaps = np.abs(np.subtract.outer(reported[key], certified[row]))
+                if (gaps.min(axis=1) > BACKWARD_ERROR_TOL * norms[row]).any():
+                    raise ConvergenceError(
+                        "a reported eigenvalue is not a certified eigenvalue at "
+                        + _where(members, part, row)
+                    )
             done += len(part)
 
 
@@ -384,7 +286,7 @@ def _identity_values(
         index = np.array([subsets[p] for p in positions])
         # k = 2 stands for any k: all-zero phases give E = I
         chunks = _stacks(degrees, adjacency, index, 2, np.zeros_like(index), kind)
-        solved = np.concatenate([_solve(*chunk, symmetric=True) for chunk in chunks])
+        solved = np.concatenate([_solve(eig_real_symmetric_stack, *c) for c in chunks])
         for position, row in zip(positions, solved):
             values[position] = row
     return values
@@ -498,8 +400,8 @@ def _spectrum_report(
         for subset, quota in plan:
             phases = _class_phases(len(subset), k, range(quota))
             chunks = _stacks(*matrices, np.array([subset]), k, phases, kind)
-            for index, part, stack in chunks:
-                blocks.append((subset, part, _solve(index, part, stack, symmetric=False)))
+            for _, part, stack in chunks:
+                blocks.append((subset, part, eigvals_complex_stack(stack)))
     values = np.concatenate([v.ravel() for _, _, v in blocks]) if blocks else []
     witnesses = _Witnesses(k, kind, blocks)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
@@ -526,12 +428,9 @@ def spectrum_power(
     phase classes, deduplicated at ``dedup_tol``.  Results under an exhausted
     budget are flagged incomplete, never silently truncated.
 
-    The matrices are solved for values only.  Each distinct witness matrix
-    of the result is then solved again with certified pairs, and its witness
-    eigenvalues must be among them bit for bit; a failure raises
-    ConvergenceError naming the witness.  The other enumerated values are not
-    certified one by one: their accuracy rests on the backward stability of
-    LAPACK's Hessenberg QR algorithm, as for the matrices rho_power prunes.
+    The matrices are solved for values only; ``_certify`` then certifies the
+    witness eigenvalues.  The other values rest on the backward stability of
+    LAPACK's Hessenberg QR algorithm, as the matrices rho_power prunes do.
     """
     return _spectrum_report(g, k, kind, dedup_tol, max_subset, budget, False)
 
@@ -573,10 +472,7 @@ def _below(bound: float | np.ndarray, threshold: float):
 
 
 class _TopModulus:
-    """Running maximum eigenvalue modulus of rho_power and the rows tied with it.
-
-    Each tied row keeps its top modulus, its witness and its eigenvalues.
-    """
+    """Running maximum eigenvalue modulus of rho_power and the rows tied with it."""
 
     def __init__(self, k: int, kind: str, tie_tol: float) -> None:
         self.k, self.kind, self.tie_tol = k, kind, tie_tol
@@ -630,12 +526,10 @@ def rho_power(
     cannot reach the final one either; the maximum and the tied set (every
     row at or above the final threshold, with its witness the minimum of
     unique keys) do not depend on the order of the solves.  The result is
-    therefore the one of the unpruned enumeration.  Solves are values-only;
-    at the end every tied row is solved again with certified pairs and must
-    give the same eigenvalues bit for bit, else ConvergenceError names it.
-    Pruned matrices are covered by their certified bound, and the other
-    solved ones by the backward stability of the eigensolver, instead of
-    per-pair residuals.  Bounds come at two levels.
+    therefore the one of the unpruned enumeration.  Solves are values-only,
+    and ``_certify`` certifies every tied row at the end; the other solved
+    matrices rest on the backward stability of the eigensolver, and pruned
+    ones on their certified bound.  Bounds come at two levels.
 
     Subsets.  Entrywise |D[U] - E A[U] E| = D[U] + A[U], so
     beta(U) = rho(D[U] + A[U]) (rho(A[U]) for the adjacency kind) bounds
@@ -676,8 +570,8 @@ def rho_power(
     found = _TopModulus(k, kind, tie_tol)
 
     def solve(subset: tuple[int, ...], phases: np.ndarray) -> None:
-        for index, part, stack in _stacks(*matrices, np.array([subset]), k, phases, kind):
-            found.add((subset, part, _solve(index, part, stack, symmetric=False)))
+        for _, part, stack in _stacks(*matrices, np.array([subset]), k, phases, kind):
+            found.add((subset, part, eigvals_complex_stack(stack)))
 
     for position in np.argsort(-bounds, kind="stable"):
         if _below(bounds[position], found.threshold):

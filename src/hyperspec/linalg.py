@@ -3,9 +3,12 @@
 Eigenvalues come from LAPACK through numpy (Hessenberg reduction plus shifted
 QR underneath); every returned pair is certified a posteriori by its residual,
 with inverse-iteration refinement as a fallback.  Values-only solves certify
-nothing; their callers certify what they report.  The nonnegative power
-iteration is written out longhand so it stays an independent cross-check of
-the dense solvers.
+nothing; their callers certify what they report.  Large complex stacks are
+split into row parts solved at once on the CPUs available, one thread per
+part; every matrix is still solved alone by the same LAPACK call, so the
+values are the same bits at any CPU count.  The nonnegative power iteration
+is written out longhand so it stays an independent cross-check of the dense
+solvers.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from hyperspec._split import split_solve
 
 __all__ = [
     "ConvergenceError",
@@ -185,9 +190,12 @@ def eigvals_complex_stack(ms: np.ndarray) -> np.ndarray:
     The values are uncertified but bit for bit ``eig_complex_stack(ms)[0]``:
     numpy's ``eigvals`` and ``eig`` both run zgeev, whose eigenvalues come
     from zlahqr for every n < 75 whether or not vectors are asked for.
+    Large stacks are solved in row parts on threads (``split_solve``); each
+    matrix is still one zgeev call on the same bytes, so the values are the
+    same bits at any CPU count.
     """
     # numpy orders complex values by (real, imag); stable keeps ties as eig's
-    values = np.linalg.eigvals(_complex_stack(ms, COMPLEX_CAP))
+    values = split_solve(np.linalg.eigvals, _complex_stack(ms, COMPLEX_CAP))
     return np.sort(values, axis=-1, kind="stable")
 
 
@@ -201,11 +209,14 @@ def eig_complex_stack(
     ``vectors[i]`` the max-norm-1 eigenvector of ``values[i, j]``, and its
     residual relative to the matrix norm.  Pairs above 1e-9 get
     inverse-iteration refinement; a pair still above raises ConvergenceError
-    whose ``index`` is the position of its matrix in the stack.
+    whose ``index`` is the position of its matrix in the stack.  The
+    ``np.linalg.eig`` call is split across threads as in
+    :func:`eigvals_complex_stack`, with the same bits at any CPU count; the
+    sort, residuals and refinement run on the calling thread.
     """
     ms = _complex_stack(ms, cap)
     n = ms.shape[1]
-    values, vectors = np.linalg.eig(ms)
+    values, vectors = split_solve(np.linalg.eig, ms)
     if n == 0:
         return values, vectors, np.zeros(values.shape)
     # lexsort is stable, so equal keys keep LAPACK's order as sorted() would

@@ -372,7 +372,7 @@ class _Witnesses(Sequence):
         start = self._ends[block] - values.size
         row, col = divmod(int(index) - start, values.shape[1])
         assign = PhaseAssignment(self._k, tuple(phases[row].tolist()))
-        return ReductionWitness(subset, assign, self._kind, values[row, col].item())
+        return ReductionWitness(subset, assign, self._kind, values.item(row, col))
 
 
 def _spectrum_report(

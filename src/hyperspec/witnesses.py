@@ -44,9 +44,10 @@ class PhaseAssignment:
     def __post_init__(self):
         if self.k < 2 or self.k % 2:
             raise ValueError("phase assignments need an even k >= 2")
+        k = self.k  # a local: the check runs for every witness a spectrum reports
         for p in self.phases:
-            if not 0 <= p < self.k:
-                raise ValueError(f"phase {p} out of range [0, {self.k})")
+            if not 0 <= p < k:
+                raise ValueError(f"phase {p} out of range [0, {k})")
 
 
 @dataclass(frozen=True)

@@ -714,19 +714,35 @@ class TestVertexCountCap:
         assert peak < 2**20
 
 
-def run_module(module, argv):
-    """stdout of ``python -m <module> <argv>`` run on this checkout's package."""
+def run_python(*args):
+    """stdout of ``python <args>`` run on this checkout's package."""
     src = str(Path(hyperspec.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, *args],
         capture_output=True,
         env=env,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def run_module(module, argv):
+    """stdout of ``python -m <module> <argv>`` run on this checkout's package."""
+    return run_python("-m", module, *argv)
+
+
+def test_importing_the_cli_loads_no_pool_and_starts_no_thread():
+    # solves start their threads per call; a pool module would add import time
+    # and resident memory to every run
+    probe = (
+        "import sys, threading, hyperspec.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)), "
+        "threading.active_count())"
+    )
+    assert run_python("-c", probe).split() == [b"[]", b"1"]
 
 
 class TestModuleEntryPoint:

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperspec import linalg, reduction
-from hyperspec.graphs import cycle_graph
+from hyperspec import _split, linalg, reduction
+from hyperspec.cli import main
+from hyperspec.graphs import complete_graph, cycle_graph, format_edge_list
 from hyperspec.linalg import (
     COMPLEX_CAP,
     MIN_DEDUP_TOL,
@@ -134,12 +136,17 @@ def hex_rows(values):
 
 
 @st.composite
-def complex_symmetric_stacks(draw):
+def complex_symmetric_stacks(draw, split=False):
     """A few complex symmetric matrices of one size up to COMPLEX_CAP: Gaussian
     entries, or D - E A E for a random graph and random 12th roots of unity,
-    which are often nearly defective, or the real D - A of the zero phases."""
+    which are often nearly defective, or the real D - A of the zero phases.
+    With ``split``, enough of them for three parts of a split solve."""
     n = draw(st.integers(0, COMPLEX_CAP))
-    count = draw(st.integers(1, 3))
+    if split:
+        rows = -(-_split._MIN_PART // max(1, n))
+        count = draw(st.integers(3 * rows, 4 * rows))
+    else:
+        count = draw(st.integers(1, 3))
     family = draw(st.sampled_from(["gaussian", "phased", "real"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if family == "gaussian":
@@ -205,6 +212,127 @@ class TestEigvalsComplexStack:
             eigvals_complex_stack(ms)
         with pytest.raises(ValueError, match=message):
             eig_complex_stack(ms)
+
+
+# the CPU counts a split solve is checked at: serial, two and three parts,
+# and the count of this host
+CPU_COUNTS = (1, 2, 3, _split._cpu_count())
+
+
+def count_thread_starts(mp: pytest.MonkeyPatch) -> list:
+    """Record every threading.Thread.start call from now on; returns the record."""
+    starts = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        starts.append(thread)
+        start(thread)
+
+    mp.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+def at_each_cpu_count(solve):
+    """``solve()`` with the CPU count of each of CPU_COUNTS, and the number of
+    threads each call started."""
+    results = []
+    for cpus in CPU_COUNTS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_split, "_cpu_count", lambda: cpus)
+            starts = count_thread_starts(mp)
+            baseline = threading.active_count()
+            results.append((solve(), len(starts)))
+            assert threading.active_count() == baseline
+    return results
+
+
+def hex_stack(values):
+    """float.hex of every entry of a complex array, rows flattened."""
+    return hex_rows(values.reshape(len(values), -1))
+
+
+class TestSplitSolve:
+    """Stacks split over threads give the bits of the serial solve.
+
+    Each matrix is solved alone by the same LAPACK call on the same bytes
+    whatever the number of parts, so the results must be equal by float.hex
+    at every CPU count; and no thread may outlive a call.
+    """
+
+    @settings(max_examples=12)
+    @given(ms=complex_symmetric_stacks(split=True))
+    def test_values_are_the_same_bits_at_any_cpu_count(self, ms):
+        runs = at_each_cpu_count(lambda: hex_rows(eigvals_complex_stack(ms)))
+        assert [started for _, started in runs] == [c - 1 for c in CPU_COUNTS]
+        assert all(values == runs[0][0] for values, _ in runs)
+
+    @settings(max_examples=12)
+    @given(ms=complex_symmetric_stacks(split=True))
+    def test_pairs_are_the_same_bits_at_any_cpu_count(self, ms):
+        runs = at_each_cpu_count(lambda: list(map(hex_stack, eig_complex_stack(ms))))
+        assert [started for _, started in runs] == [c - 1 for c in CPU_COUNTS]
+        assert all(pairs == runs[0][0] for pairs, _ in runs)
+
+    def test_c7_sixth_power_spectrum_bytes_at_any_cpu_count(self, tmp_path):
+        graph = tmp_path / "c7.edges"
+        graph.write_text(format_edge_list(cycle_graph(7)))
+        out = tmp_path / "c7-k6.json"
+
+        def spectrum():
+            assert main(["spectrum", "--input", str(graph), "--k", "6", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        runs = at_each_cpu_count(spectrum)
+        assert runs[0][1] == 0 and all(started > 0 for _, started in runs[1:])
+        assert all(data == runs[0][0] for data, _ in runs)
+
+    def test_a_failing_later_part_reaches_the_caller_unchanged(self, monkeypatch):
+        # row i carries i, so each part knows its first row
+        ms = np.zeros((3 * _split._MIN_PART, 1, 1), dtype=complex)
+        ms[:, 0, 0] = np.arange(len(ms))
+        raised = {}
+        eigvals = np.linalg.eigvals
+
+        def failing(part):
+            first = int(part[0, 0, 0].real)
+            if first > 0:
+                raised[first] = np.linalg.LinAlgError(f"part at row {first}")
+                raise raised[first]
+            return eigvals(part)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        monkeypatch.setattr(_split, "_cpu_count", lambda: 3)
+        baseline = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as caught:
+            eigvals_complex_stack(ms)
+        assert sorted(raised) == [_split._MIN_PART, 2 * _split._MIN_PART]
+        assert caught.value is raised[_split._MIN_PART]
+        assert threading.active_count() == baseline
+
+    def test_a_nonfinite_stack_is_rejected_before_any_thread_starts(self, monkeypatch):
+        ms = np.ones((4 * _split._MIN_PART, 1, 1), dtype=complex)
+        ms[-1, 0, 0] = np.nan
+        monkeypatch.setattr(_split, "_cpu_count", lambda: 4)
+        starts = count_thread_starts(monkeypatch)
+        for solve in (eigvals_complex_stack, eig_complex_stack):
+            with pytest.raises(ValueError, match="finite"):
+                solve(ms)
+        assert starts == []
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: reduction.rho_power(cycle_graph(5), 8, "L"),
+            lambda: reduction.rho_power(complete_graph(4), 12, "L"),
+            lambda: reduction.h_spectrum_power(complete_graph(8), 4, "L"),
+        ],
+        ids=["rho C5 k=8", "rho K4 k=12", "h-spectrum K8 k=4"],
+    )
+    def test_pruned_and_symmetric_solves_start_no_thread(self, monkeypatch, run):
+        monkeypatch.setattr(_split, "_cpu_count", lambda: 4)
+        starts = count_thread_starts(monkeypatch)
+        run()
+        assert starts == []
 
 
 class TestSpectralRadius:

@@ -41,6 +41,7 @@ SYMMETRIC_CAP = 256
 COMPLEX_CAP = 64
 SYMMETRIC_RESIDUAL_TOL = 1e-10
 BACKWARD_ERROR_TOL = 1e-9
+PERRON_RESIDUAL_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -80,7 +81,7 @@ def _pair_residual(m: np.ndarray, value: complex, vector: np.ndarray) -> float:
 
 
 def eig_real_symmetric_stack(
-    ms: np.ndarray, cap: int = SYMMETRIC_CAP
+    ms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified eigenpairs of a stack of real symmetric matrices.
 
@@ -88,16 +89,16 @@ def eig_real_symmetric_stack(
     (N, n): each row of values ascending, column j of ``vectors[i]`` the
     max-norm-1 eigenvector of ``values[i, j]``, and its residual relative to
     the matrix norm.  Raises ValueError for a matrix that is not symmetric
-    within 1e-12 or a dimension above ``cap``, and ConvergenceError if a
-    residual misses the 1e-10 certificate; its ``index`` is the position of
-    the matrix in the stack.
+    within 1e-12 or a dimension above ``SYMMETRIC_CAP`` (256), and
+    ConvergenceError if a residual misses the 1e-10 certificate; its
+    ``index`` is the position of the matrix in the stack.
     """
     ms = np.asarray(ms, dtype=float)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError("expected square matrices")
     n = ms.shape[1]
-    if n > cap:
-        raise ValueError(f"matrix dimension {n} exceeds cap {cap}")
+    if n > SYMMETRIC_CAP:
+        raise ValueError(f"matrix dimension {n} exceeds cap {SYMMETRIC_CAP}")
     if n == 0:
         return np.zeros((len(ms), 0)), np.zeros(ms.shape), np.zeros((len(ms), 0))
     scale = np.maximum(1.0, np.max(np.sum(np.abs(ms), axis=2), axis=1))
@@ -122,17 +123,17 @@ def eig_real_symmetric_stack(
     return values, vectors, residuals
 
 
-def eig_real_symmetric(m: np.ndarray, cap: int = SYMMETRIC_CAP) -> list[EigenPair]:
+def eig_real_symmetric(m: np.ndarray) -> list[EigenPair]:
     """All eigenpairs of a real symmetric matrix, ascending by eigenvalue.
 
     The one-matrix case of :func:`eig_real_symmetric_stack`: ValueError for
-    non-symmetric input or dimension above ``cap``, ConvergenceError if any
-    residual misses the 1e-10 certificate.
+    non-symmetric input or dimension above ``SYMMETRIC_CAP``, ConvergenceError
+    if any residual misses the 1e-10 certificate.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    values, vectors, residuals = eig_real_symmetric_stack(m[None], cap)
+    values, vectors, residuals = eig_real_symmetric_stack(m[None])
     pairs = []
     for j in range(values.shape[1]):
         vec = vectors[0, :, j].copy()
@@ -169,14 +170,15 @@ def _refine_pair(
     return best_vec, best_res
 
 
-def _complex_stack(ms: np.ndarray, cap: int) -> np.ndarray:
-    """``ms`` as a complex (N, n, n) stack, checked for shape, cap and finiteness."""
+def _complex_stack(ms: np.ndarray) -> np.ndarray:
+    """``ms`` as a complex (N, n, n) stack, checked for shape, finiteness and
+    a dimension of at most ``COMPLEX_CAP`` (64)."""
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError("expected square matrices")
     n = ms.shape[1]
-    if n > cap:
-        raise ValueError(f"matrix dimension {n} exceeds cap {cap}")
+    if n > COMPLEX_CAP:
+        raise ValueError(f"matrix dimension {n} exceeds cap {COMPLEX_CAP}")
     if not np.all(np.isfinite(ms)):
         raise ValueError("matrix entries must be finite")
     return ms
@@ -186,23 +188,22 @@ def eigvals_complex_stack(ms: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of general complex matrices, without vectors.
 
     Returns an (N, n) array, each row sorted by (real, imag), after the input
-    checks of :func:`eig_complex_stack` at a fixed cap of ``COMPLEX_CAP``.
-    The values are uncertified but bit for bit ``eig_complex_stack(ms)[0]``:
-    numpy's ``eigvals`` and ``eig`` both run zgeev, whose eigenvalues come
-    from zlahqr for every n < 75 whether or not vectors are asked for.
+    checks of :func:`eig_complex_stack`.  The values are uncertified but bit
+    for bit ``eig_complex_stack(ms)[0]``: numpy's ``eigvals`` and ``eig``
+    both run zgeev, whose eigenvalues come from zlahqr for every n < 75
+    whether or not vectors are asked for.
     Large stacks are solved in row parts on threads (``split_solve``); each
     matrix is still one zgeev call on the same bytes, so the values are the
     same bits at any CPU count.
     """
     # numpy orders complex values by (real, imag); stable keeps ties as eig's
-    values = split_solve(np.linalg.eigvals, _complex_stack(ms, COMPLEX_CAP))
+    values = split_solve(np.linalg.eigvals, _complex_stack(ms))
     return np.sort(values, axis=-1, kind="stable")
 
 
-def eig_complex_stack(
-    ms: np.ndarray, cap: int = COMPLEX_CAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Certified eigenpairs of a stack of general complex matrices.
+def eig_complex_stack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified eigenpairs of a stack of general complex matrices of dimension
+    at most ``COMPLEX_CAP`` (64).
 
     Returns ``(values, vectors, residuals)`` of shapes (N, n), (N, n, n) and
     (N, n): each row of values sorted by (real, imag), column j of
@@ -214,7 +215,7 @@ def eig_complex_stack(
     :func:`eigvals_complex_stack`, with the same bits at any CPU count; the
     sort, residuals and refinement run on the calling thread.
     """
-    ms = _complex_stack(ms, cap)
+    ms = _complex_stack(ms)
     n = ms.shape[1]
     values, vectors = split_solve(np.linalg.eig, ms)
     if n == 0:
@@ -248,13 +249,13 @@ def eig_complex_stack(
     return values, vectors, residuals
 
 
-def eig_complex_pairs(m: np.ndarray, cap: int = COMPLEX_CAP) -> list[EigenPair]:
+def eig_complex_pairs(m: np.ndarray) -> list[EigenPair]:
     """All eigenpairs of a general complex matrix, sorted by (real, imag).
 
     The one-matrix case of :func:`eig_complex_stack`: each pair carries a
     certified residual below 1e-9 relative to the matrix norm.
     """
-    values, vectors, residuals = eig_complex_stack(np.asarray(m)[None], cap)
+    values, vectors, residuals = eig_complex_stack(np.asarray(m)[None])
     pairs = []
     for j in range(values.shape[1]):
         vec = vectors[0, :, j].copy()
@@ -263,9 +264,9 @@ def eig_complex_pairs(m: np.ndarray, cap: int = COMPLEX_CAP) -> list[EigenPair]:
     return pairs
 
 
-def spectral_radius(m: np.ndarray, cap: int = COMPLEX_CAP) -> float:
+def spectral_radius(m: np.ndarray) -> float:
     """Maximum eigenvalue modulus of a general complex matrix."""
-    pairs = eig_complex_pairs(m, cap=cap)
+    pairs = eig_complex_pairs(m)
     if not pairs:
         return 0.0
     return max(abs(p.value) for p in pairs)
@@ -290,14 +291,12 @@ def _strongly_connected(pattern: np.ndarray) -> bool:
     return reach(pattern) == n and reach(pattern.T) == n
 
 
-def power_iteration_nonneg(
-    m: np.ndarray, tol: float = 1e-10, budget: int = 100_000
-) -> EigenPair:
+def power_iteration_nonneg(m: np.ndarray, budget: int = 100_000) -> EigenPair:
     """Perron eigenpair of an entrywise nonnegative irreducible matrix.
 
     Runs the power method on the (shifted) matrix with Collatz-Wielandt
     stopping bounds.  The returned vector is positive with max-norm 1 and the
-    residual is certified below ``tol`` relative to the matrix norm.
+    residual is certified below 1e-10 relative to the matrix norm.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -327,8 +326,8 @@ def power_iteration_nonneg(
         raise ConvergenceError(f"power iteration budget {budget} exhausted")
     x = x / np.max(x)
     res = _pair_residual(m, value, x)
-    if res > tol:
-        raise ConvergenceError(f"power iteration residual {res:.3e} exceeds {tol:g}")
+    if res > PERRON_RESIDUAL_TOL:
+        raise ConvergenceError(f"power iteration residual {res:.3e} exceeds 1e-10")
     x.flags.writeable = False
     return EigenPair(value, x, res)
 

@@ -170,8 +170,8 @@ def _plan_work(
 # matrix entries per eigensolver call; bounds the memory of one stack
 _STACK_ENTRIES = 1 << 16
 
-# rows of phases, one row per class, and the sorted eigenvalues of each class
-_Block = tuple[tuple[int, ...], np.ndarray, np.ndarray]
+# a subset and its rows of phases, one row per matrix
+_Block = tuple[tuple[int, ...], np.ndarray]
 
 
 def _class_phases(size: int, k: int, positions: Sequence[int]) -> np.ndarray:
@@ -187,109 +187,93 @@ def _class_phases(size: int, k: int, positions: Sequence[int]) -> np.ndarray:
     return phases
 
 
-def _stacks(
-    degrees: np.ndarray,
-    adjacency: np.ndarray,
-    index: np.ndarray,
+def _identity_blocks(subsets: Sequence[tuple[int, ...]]) -> list[_Block]:
+    """One all-zero phase row per subset: E = I, and the matrices stay real."""
+    return [(subset, np.zeros((1, len(subset)), np.int64)) for subset in subsets]
+
+
+def _solve_blocks(
+    matrices: tuple[np.ndarray, np.ndarray],
     k: int,
-    phases: np.ndarray,
     kind: str,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``_phased_matrices`` of the same arguments, in consecutive row chunks.
+    blocks: Sequence[_Block],
+    solve: Callable[[np.ndarray], np.ndarray],
+) -> list[np.ndarray]:
+    """``solve`` of the reduced matrices of each block, one array per block.
 
-    Yields ``(index, phases, stack)`` per chunk, at most ``_STACK_ENTRIES``
-    matrix entries per stack; a one-row ``index`` is passed on whole.
+    ``matrices`` are D and A of the base graph.  Blocks of one subset size
+    share stacks: their rows go to ``_phased_matrices`` in block order, at
+    most ``_STACK_ENTRIES`` matrix entries per stack, and ``solve`` maps a
+    stack to one result row per matrix.  A lone block of its size passes its
+    one-row subset on whole.  A ConvergenceError of ``solve`` is re-raised
+    naming the subset and phases of its ``index`` row (the first without
+    one).  Every block needs at least one row.
     """
-    batch = max(1, _STACK_ENTRIES // phases.shape[1] ** 2)
-    for lo in range(0, len(phases), batch):
-        rows = slice(lo, lo + batch)
-        members = index if len(index) == 1 else index[rows]
-        part = phases[rows]
-        yield members, part, _phased_matrices(degrees, adjacency, members, k, part, kind)
+    sizes: dict[int, list[int]] = {}
+    for position, (subset, _) in enumerate(blocks):
+        sizes.setdefault(len(subset), []).append(position)
+    results: list = [None] * len(blocks)
+    for positions in sizes.values():
+        counts = [len(blocks[p][1]) for p in positions]
+        index = np.array([blocks[p][0] for p in positions])
+        if len(positions) == 1:
+            phases = blocks[positions[0]][1]
+        else:
+            phases = np.concatenate([blocks[p][1] for p in positions])
+            index = np.repeat(index, counts, axis=0)
+        batch = max(1, _STACK_ENTRIES // phases.shape[1] ** 2)
+        parts = []
+        for lo in range(0, len(phases), batch):
+            rows = slice(lo, lo + batch)
+            members = index if len(index) == 1 else index[rows]
+            stack = _phased_matrices(*matrices, members, k, phases[rows], kind)
+            try:
+                parts.append(solve(stack))
+            except ConvergenceError as exc:
+                row = lo + (exc.index or 0)
+                subset = tuple(index[row if len(index) > 1 else 0].tolist())
+                where = f"subset {subset}, phases {tuple(phases[row].tolist())}"
+                raise ConvergenceError(f"{exc} at {where}") from exc
+        solved = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for p, end, count in zip(positions, itertools.accumulate(counts), counts):
+            results[p] = solved[end - count : end]
+    return results
 
 
-def _solve(
-    solver: Callable[[np.ndarray], tuple],
-    index: np.ndarray,
-    phases: np.ndarray,
-    stack: np.ndarray,
-) -> np.ndarray:
-    """The sorted eigenvalues ``solver(stack)[0]`` of one ``_stacks`` item,
-    one row per matrix, from a solver that certifies every pair.
-
-    A failed certificate re-raises ConvergenceError naming the subset and
-    phases of its matrix.
-    """
-    try:
-        return solver(stack)[0]
-    except ConvergenceError as exc:
-        row = exc.index or 0
-        raise ConvergenceError(f"{exc} at {_where(index, phases, row)}") from exc
-
-
-def _where(index: np.ndarray, phases: np.ndarray, row: int) -> str:
-    """The subset and phases of matrix ``row`` of one ``_stacks`` item."""
-    subset = tuple(index[row if len(index) > 1 else 0].tolist())
-    return f"subset {subset}, phases {tuple(phases[row].tolist())}"
+def _symmetric_values(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric stack, every pair certified."""
+    return eig_real_symmetric_stack(stack)[0]
 
 
 def _certify(
-    degrees: np.ndarray,
-    adjacency: np.ndarray,
+    matrices: tuple[np.ndarray, np.ndarray],
     k: int,
     kind: str,
     reported: dict[tuple[tuple[int, ...], tuple[int, ...]], Sequence[complex]],
 ) -> None:
     """Certify the reported eigenvalues of each (subset, phases) matrix.
 
-    The matrices, rebuilt through ``_stacks`` by subset size, are solved with
+    The matrices, rebuilt by subset size in ``_solve_blocks``, are solved with
     ``eig_complex_stack``, and each reported value must lie within 1e-9 of a
     certified eigenvalue, relative to the matrix norm (they are the same bits
     on current LAPACK builds).  A failure raises ConvergenceError naming the
     subset and phases.
     """
-    sizes: dict[int, list] = {}
-    for key in reported:
-        sizes.setdefault(len(key[0]), []).append(key)
-    for keys in sizes.values():
-        index, phases = map(np.array, zip(*keys))
-        done = 0
-        for members, part, stack in _stacks(degrees, adjacency, index, k, phases, kind):
-            certified = _solve(eig_complex_stack, members, part, stack)
-            norms = np.maximum(1.0, np.abs(stack).sum(axis=2).max(axis=1))
-            for row, key in enumerate(keys[done : done + len(part)]):
-                gaps = np.abs(np.subtract.outer(reported[key], certified[row]))
-                if (gaps.min(axis=1) > BACKWARD_ERROR_TOL * norms[row]).any():
-                    raise ConvergenceError(
-                        "a reported eigenvalue is not a certified eigenvalue at "
-                        + _where(members, part, row)
-                    )
-            done += len(part)
 
+    def certified(stack: np.ndarray) -> np.ndarray:
+        # the certified eigenvalues of each matrix, then max(1, its norm)
+        norms = np.maximum(1.0, np.abs(stack).sum(axis=2).max(axis=1))
+        return np.column_stack((eig_complex_stack(stack)[0], norms))
 
-def _identity_values(
-    degrees: np.ndarray,
-    adjacency: np.ndarray,
-    subsets: list[tuple[int, ...]],
-    kind: str,
-) -> list[np.ndarray]:
-    """Ascending eigenvalues of the identity-phase matrix of each subset.
-
-    These are real symmetric; subsets of one size share stacked solves.  The
-    rows come back in the order of ``subsets``.
-    """
-    groups: dict[int, list[int]] = {}
-    for position, subset in enumerate(subsets):
-        groups.setdefault(len(subset), []).append(position)
-    values: list = [None] * len(subsets)
-    for positions in groups.values():
-        index = np.array([subsets[p] for p in positions])
-        # k = 2 stands for any k: all-zero phases give E = I
-        chunks = _stacks(degrees, adjacency, index, 2, np.zeros_like(index), kind)
-        solved = np.concatenate([_solve(eig_real_symmetric_stack, *c) for c in chunks])
-        for position, row in zip(positions, solved):
-            values[position] = row
-    return values
+    blocks = [(subset, np.array([phases])) for subset, phases in reported]
+    solved = _solve_blocks(matrices, k, kind, blocks, certified)
+    for (key, values), (row,) in zip(reported.items(), solved):
+        gaps = np.abs(np.subtract.outer(values, row[:-1]))
+        if (gaps.min(axis=1) > BACKWARD_ERROR_TOL * row[-1].real).any():
+            raise ConvergenceError(
+                "a reported eigenvalue is not a certified eigenvalue at "
+                "subset {}, phases {}".format(*key)
+            )
 
 
 # the slack delta of the per-class bounds (||M^8|| + delta ||M||^8)^(1/8);
@@ -297,36 +281,25 @@ def _identity_values(
 _GELFAND_SLACK = 1e-9
 
 
-def _gelfand_bounds(
-    degrees: np.ndarray,
-    adjacency: np.ndarray,
-    index: np.ndarray,
-    k: int,
-    phases: np.ndarray,
-    kind: str,
-) -> np.ndarray:
-    """(||M^8|| + delta ||M||^8)^(1/8) in the infinity norm for the reduced
-    matrix M of each row of ``phases``, in row order.
+def _gelfand_bounds(stack: np.ndarray) -> np.ndarray:
+    """(||M^8|| + delta ||M||^8)^(1/8) in the infinity norm for each matrix M
+    of ``stack``, in stack order.
 
     M^8 comes from three stacked squarings with ``np.einsum``, which keeps
     BLAS matmul buffers out of resident memory.  Overflow gives +inf.
     """
-    bounds = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, _, stack in _stacks(degrees, adjacency, index, k, phases, kind):
-            power = stack
-            for _ in range(3):
-                power = np.einsum("nij,njk->nik", power, power)
-            norms = np.abs(stack).sum(axis=2).max(axis=1)
-            power_norms = np.abs(power).sum(axis=2).max(axis=1)
-            slack = _GELFAND_SLACK * norms**8
-            bounds.append((power_norms + slack) ** (1 / 8))
-    return np.concatenate(bounds)
+        power = stack
+        for _ in range(3):
+            power = np.einsum("nij,njk->nik", power, power)
+        norms = np.abs(stack).sum(axis=2).max(axis=1)
+        power_norms = np.abs(power).sum(axis=2).max(axis=1)
+        slack = _GELFAND_SLACK * norms**8
+        return (power_norms + slack) ** (1 / 8)
 
 
 def _perron_bounds(
-    degrees: np.ndarray,
-    adjacency: np.ndarray,
+    matrices: tuple[np.ndarray, np.ndarray],
     subsets: list[tuple[int, ...]],
     kind: str,
 ) -> np.ndarray:
@@ -338,28 +311,28 @@ def _perron_bounds(
     bounds nothing: every subset gets +inf.
     """
     majorant = "adjacency" if kind == "adjacency" else "signless"
+    blocks = _identity_blocks(subsets)
     try:
-        values = _identity_values(degrees, adjacency, subsets, majorant)
+        # all-zero phases make any even k the same
+        values = _solve_blocks(matrices, 2, majorant, blocks, _symmetric_values)
     except ConvergenceError:
         return np.full(len(subsets), np.inf)
-    return np.array([row[-1] for row in values])
+    return np.array([row[0, -1] for row in values])
 
 
 class _Witnesses(Sequence):
     """The witness of every enumerated eigenvalue, built only when read.
 
-    Indexes the eigenvalues of the solved blocks row by row, in plan order;
-    dedup reads one witness per cluster.
+    Indexes the eigenvalues of the solved blocks row by row, in plan order,
+    with ``values[i]`` the rows of ``blocks[i]``; dedup reads one witness per
+    cluster.
     """
 
     def __init__(
-        self,
-        k: int,
-        kind: str,
-        blocks: list[_Block],
+        self, k: int, kind: str, blocks: list[_Block], values: list[np.ndarray]
     ) -> None:
-        self._k, self._kind, self._blocks = k, kind, blocks
-        self._ends = list(itertools.accumulate(v.size for _, _, v in blocks))
+        self._k, self._kind, self._blocks, self._values = k, kind, blocks, values
+        self._ends = list(itertools.accumulate(v.size for v in values))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -368,7 +341,8 @@ class _Witnesses(Sequence):
         if not 0 <= index < len(self):
             raise IndexError("witness index out of range")
         block = bisect.bisect_right(self._ends, index)
-        subset, phases, values = self._blocks[block]
+        subset, phases = self._blocks[block]
+        values = self._values[block]
         start = self._ends[block] - values.size
         row, col = divmod(int(index) - start, values.shape[1])
         assign = PhaseAssignment(self._k, tuple(phases[row].tolist()))
@@ -390,26 +364,23 @@ def _spectrum_report(
     plan, complete, used = _plan_work(g, k, max_subset, budget, identity_only)
     matrices = g.degree_vector(), g.adjacency_matrix()
     if identity_only:
-        subsets = [subset for subset, _ in plan]
-        rows = _identity_values(*matrices, subsets, kind)
-        blocks = [
-            (s, np.zeros((1, len(s)), np.int64), v[None]) for s, v in zip(subsets, rows)
-        ]
+        blocks = _identity_blocks([subset for subset, _ in plan])
+        solved = _solve_blocks(matrices, k, kind, blocks, _symmetric_values)
     else:
-        blocks = []
-        for subset, quota in plan:
-            phases = _class_phases(len(subset), k, range(quota))
-            chunks = _stacks(*matrices, np.array([subset]), k, phases, kind)
-            for _, part, stack in chunks:
-                blocks.append((subset, part, eigvals_complex_stack(stack)))
-    values = np.concatenate([v.ravel() for _, _, v in blocks]) if blocks else []
-    witnesses = _Witnesses(k, kind, blocks)
+        blocks = [(s, _class_phases(len(s), k, range(quota))) for s, quota in plan]
+        # one call per subset, so that each stack holds one subset's classes
+        solved = [
+            _solve_blocks(matrices, k, kind, [block], eigvals_complex_stack)[0]
+            for block in blocks
+        ]
+    values = np.concatenate([v.ravel() for v in solved]) if solved else []
+    witnesses = _Witnesses(k, kind, blocks, solved)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
     if not identity_only:
         reported: dict = {}
         for w in spectrum.witnesses:
             reported.setdefault((w.subset, w.phase.phases), []).append(w.eigenvalue)
-        _certify(*matrices, k, kind, reported)
+        _certify(matrices, k, kind, reported)
     return SpectrumReport(kind, k, spectrum, complete, used)
 
 
@@ -483,8 +454,8 @@ class _TopModulus:
     def threshold(self) -> float:
         return self.top - self.tie_tol * max(1.0, self.top)
 
-    def add(self, block: _Block) -> None:
-        subset, phases, values = block
+    def add(self, block: _Block, values: np.ndarray) -> None:
+        subset, phases = block
         # np.hypot rounds exactly like abs() on a Python complex
         moduli = np.hypot(values.real, values.imag)
         tops = moduli.max(axis=1)
@@ -566,32 +537,34 @@ def rho_power(
         raise ValueError("tie_tol must lie in [0, 1)")
     plan, complete, used = _plan_work(g, k, max_subset, budget)
     matrices = g.degree_vector(), g.adjacency_matrix()
-    bounds = _perron_bounds(*matrices, [subset for subset, _ in plan], kind)
+    bounds = _perron_bounds(matrices, [subset for subset, _ in plan], kind)
     found = _TopModulus(k, kind, tie_tol)
 
-    def solve(subset: tuple[int, ...], phases: np.ndarray) -> None:
-        for _, part, stack in _stacks(*matrices, np.array([subset]), k, phases, kind):
-            found.add((subset, part, eigvals_complex_stack(stack)))
+    def solve(block: _Block) -> None:
+        (values,) = _solve_blocks(matrices, k, kind, [block], eigvals_complex_stack)
+        found.add(block, values)
 
     for position in np.argsort(-bounds, kind="stable"):
         if _below(bounds[position], found.threshold):
             break
         subset, quota = plan[position]
         phases = _class_phases(len(subset), k, range(quota))
-        class_bounds = _gelfand_bounds(*matrices, np.array([subset]), k, phases, kind)
+        block = [(subset, phases)]
+        (class_bounds,) = _solve_blocks(matrices, k, kind, block, _gelfand_bounds)
         if np.isfinite(class_bounds).all():
             first = int(np.argmax(class_bounds))
             if _below(class_bounds[first], found.threshold):
                 continue
-            solve(subset, phases[first : first + 1])
+            solve((subset, phases[first : first + 1]))
             reach = ~_below(class_bounds, found.threshold)
             reach[first] = False
             phases = phases[reach]
-        solve(subset, phases)
+        if len(phases):
+            solve((subset, phases))
     if not found.tied:
         raise ValueError("reduction produced no matrices")
     reported = {(w.subset, w.phase.phases): row for _, w, row in found.tied}
-    _certify(*matrices, k, kind, reported)
+    _certify(matrices, k, kind, reported)
     witness = min(
         (w for _, w, _ in found.tied),
         key=lambda w: (len(w.subset), w.subset, w.phase.phases),

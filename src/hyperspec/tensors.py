@@ -110,7 +110,6 @@ def _start_vector(start: np.ndarray, n: int, power: int) -> np.ndarray:
 
 def nqz_power_iteration(
     operator: TensorOperator,
-    gap_tol: float = NQZ_GAP_TOL,
     budget: int = NQZ_BUDGET,
     start: np.ndarray | None = None,
 ) -> EigenPair:
@@ -120,14 +119,14 @@ def nqz_power_iteration(
     ``start`` (all-ones when None; a given start must be finite, positive and
     keep x^{[k-1]} positive after scaling to max-norm 1); the unit shift keeps
     iterates positive without moving the eigenvector.  Stops when the min/max
-    Collatz-Wielandt bounds agree within ``gap_tol``; the returned residual is
-    certified below 1e-8.
+    Collatz-Wielandt bounds agree within ``NQZ_GAP_TOL`` (1e-10); the returned
+    residual is certified below 1e-8.
 
     The run stays a check of rho(T) independent of where its start came from:
     for a connected hypergraph lo <= rho(T) + 1 <= hi at every positive x, so
-    a stop certifies the value within ``gap_tol`` whatever the start.  A start
-    near the Perron vector (a lifted base Perron vector) saves iterations; a
-    wrong one only costs them.
+    a stop certifies the value within ``NQZ_GAP_TOL`` whatever the start.  A
+    start near the Perron vector (a lifted base Perron vector) saves
+    iterations; a wrong one only costs them.
     """
     if operator.kind == "laplacian":
         raise ValueError("power iteration needs a nonnegative tensor (A or Q)")
@@ -144,7 +143,7 @@ def nqz_power_iteration(
         quotients = y / x**power
         lo, hi = float(np.min(quotients)), float(np.max(quotients))
         value = 0.5 * (lo + hi) - 1.0
-        if hi - lo <= gap_tol:
+        if hi - lo <= NQZ_GAP_TOL:
             converged = True
             break
         x = y ** (1.0 / power)
@@ -299,7 +298,10 @@ class Gauge:
     phases: tuple[int, ...]
 
     def __post_init__(self):
-        if self.modulus < 1:
+        m = self.modulus
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ValueError("gauge modulus must be an exact integer")
+        if m < 1:
             raise ValueError("modulus must be positive")
         clean = []
         for p in self.phases:
@@ -309,6 +311,7 @@ class Gauge:
             if not 0 <= p < self.modulus:
                 raise ValueError(f"phase {p} out of range [0, {self.modulus})")
             clean.append(p)
+        object.__setattr__(self, "modulus", int(m))
         object.__setattr__(self, "phases", tuple(clean))
 
     def to_json_dict(self) -> dict:
@@ -319,10 +322,14 @@ class Gauge:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Gauge":
-        modulus = int(payload["mod"])
+        """The gauge of a ``to_json_dict`` payload; ValueError for any other
+        shape, as for a modulus or phase that is not an exact integer."""
+        if not isinstance(payload, dict) or not {"mod", "phase"} <= set(payload):
+            raise ValueError("gauge JSON must be an object with mod and phase")
         raw = payload["phase"]
-        phases = tuple(int(raw[str(v)]) for v in range(len(raw)))
-        return cls(modulus, phases)
+        if not isinstance(raw, dict) or set(raw) != {str(v) for v in range(len(raw))}:
+            raise ValueError("gauge JSON phase keys must be the vertices 0..len-1")
+        return cls(payload["mod"], tuple(raw[str(v)] for v in range(len(raw))))
 
 
 _DIAG_COEFF = {"adjacency": 0, "laplacian": 1, "signless": 1}

@@ -14,6 +14,7 @@ from hyperspec.graphs import complete_graph, cycle_graph, format_edge_list
 from hyperspec.linalg import (
     COMPLEX_CAP,
     MIN_DEDUP_TOL,
+    SYMMETRIC_CAP,
     ConvergenceError,
     SpectrumSet,
     eig_complex_pairs,
@@ -72,7 +73,7 @@ class TestEigRealSymmetric:
 
     def test_rejects_above_cap(self):
         with pytest.raises(ValueError):
-            eig_real_symmetric(np.eye(10), cap=4)
+            eig_real_symmetric(np.eye(SYMMETRIC_CAP + 1))
 
 
 class TestEigComplexPairs:
@@ -123,7 +124,7 @@ class TestEigComplexPairs:
 
     def test_rejects_above_cap(self):
         with pytest.raises(ValueError):
-            eig_complex_pairs(np.eye(5, dtype=complex), cap=4)
+            eig_complex_pairs(np.eye(COMPLEX_CAP + 1, dtype=complex))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

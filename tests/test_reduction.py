@@ -717,6 +717,60 @@ def _hex(values):
     return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
 
 
+def _fail_in_stack(monkeypatch, solver, size, stack, row):
+    """Make reduction's ``solver`` raise ConvergenceError(index=row) on its
+    call number ``stack`` (from 0) among stacks of ``size`` x ``size``
+    matrices; returns the lengths of those stacks, in call order."""
+    solve = getattr(reduction, solver)
+    lengths = []
+
+    def failing(ms, *args, **kwargs):
+        if ms.shape[1] == size:
+            lengths.append(len(ms))
+            if len(lengths) == stack + 1:
+                raise ConvergenceError("injected", index=row)
+        return solve(ms, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, solver, failing)
+    return lengths
+
+
+class TestFailedRowsAreNamed:
+    # the third stack of a size group of several subsets fails at its second
+    # row, so an error in the row offsets names another matrix
+
+    def test_a_failed_identity_solve_names_its_subset(self, monkeypatch):
+        g = complete_graph(6)
+        # four 3 x 3 matrices per stack
+        monkeypatch.setattr(reduction, "_STACK_ENTRIES", 40)
+        lengths = _fail_in_stack(monkeypatch, "eig_real_symmetric_stack", 3, 2, 1)
+        with pytest.raises(ConvergenceError, match="^injected at ") as info:
+            h_spectrum_power(g, 4, "laplacian")
+        group = [subset for subset in connected_subsets(g, 6) if len(subset) == 3]
+        assert lengths == [4, 4, 4] and len(group) == 20
+        assert _named_matrix(info.value) == (group[9], (0, 0, 0))
+
+    def test_a_failed_certificate_names_its_matrix(self, monkeypatch):
+        g, k = cycle_graph(5), 8
+        reported = []
+        certify = reduction._certify
+
+        def recording(*args):
+            reported.append(list(args[-1]))
+            return certify(*args)
+
+        monkeypatch.setattr(reduction, "_certify", recording)
+        monkeypatch.setattr(reduction, "_STACK_ENTRIES", 40)
+        lengths = _fail_in_stack(monkeypatch, "eig_complex_stack", 3, 2, 1)
+        with pytest.raises(ConvergenceError, match="^injected at ") as info:
+            spectrum_power(g, k, "laplacian")
+        (keys,) = reported
+        group = [key for key in keys if len(key[0]) == 3]
+        assert lengths == [4, 4, 4]
+        assert len({subset for subset, _ in group[:12]}) > 1
+        assert _named_matrix(info.value) == group[9]
+
+
 class TestCertifiedWitnesses:
     def test_only_the_witness_matrices_are_certified(self, monkeypatch):
         g, k = cycle_graph(5), 8

@@ -495,9 +495,36 @@ class TestGauge:
         with pytest.raises(ValueError):
             Gauge(4, (4,))
 
+    @pytest.mark.parametrize("modulus", [4.5, 4.0, "4", True])
+    def test_rejects_non_integer_modulus(self, modulus):
+        with pytest.raises(ValueError):
+            Gauge(modulus, (1,))  # type: ignore[arg-type]
+
     def test_json_roundtrip(self):
         gauge = Gauge(4, (1, 0, 1, 0))
         assert Gauge.from_json_dict(gauge.to_json_dict()) == gauge
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"mod": 4.9, "phase": {"0": 1}},
+            {"mod": "4", "phase": {"0": 1}},
+            {"mod": True, "phase": {"0": 0}},
+            {"mod": 4, "phase": {"0": 1.5}},
+            {"mod": 4, "phase": {"0": 1.0}},
+            {"mod": 4, "phase": {"0": "3"}},
+            {"mod": 4, "phase": {"0": True}},
+            {"mod": 4, "phase": {"1": 0}},
+            {"mod": 4, "phase": {"0": 0, "2": 1}},
+            {"mod": 4, "phase": [0, 1]},
+            {"mod": 4},
+            {"phase": {"0": 0}},
+            [4, {"0": 0}],
+        ],
+    )
+    def test_json_rejects_anything_but_exact_integers_by_vertex(self, payload):
+        with pytest.raises(ValueError):
+            Gauge.from_json_dict(payload)
 
 
 class TestVerifyDiagonalSimilarity:

@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from collections.abc import Callable, Sequence
 
@@ -47,22 +46,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 CHECKS = ("rho-equality", "shrinking-gap", "power-invariance")
-
-
-def _budget(args: argparse.Namespace) -> int:
-    """``--budget``, else ``HYPERSPEC_BUDGET``, else the default matrix budget."""
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("HYPERSPEC_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HYPERSPEC_BUDGET={raw!r} is not an integer") from exc
-    if value <= 0:
-        raise ValueError("HYPERSPEC_BUDGET must be positive")
-    return value
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
@@ -145,12 +128,11 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    budget = _budget(args)
     (k,) = _k_values(args)
     g = _read_graph(args.input)
     compute = h_spectrum_power if args.h_only else spectrum_power
     report = compute(
-        g, k, args.kind, dedup_tol=args.tol, max_subset=args.max_subset, budget=budget
+        g, k, args.kind, dedup_tol=args.tol, max_subset=args.max_subset, budget=args.budget
     )
     payload = report.to_json_dict()
     values = payload["values"]
@@ -175,12 +157,13 @@ def _rho_cases(
     enumerated rho(L) of the Laplacian tensor at each k."""
     if g.is_bipartite():
         raise ValueError("this check requires a non-bipartite graph")
-    budget = _budget(args)
     rho_q = float(eig_real_symmetric(g.signless_laplacian_matrix())[-1].value)
     cases = []
     for k in ks:
         lam = lambda_max_laplacian(g, k)
-        rho = rho_power(g, k, "laplacian", max_subset=args.max_subset, budget=budget)
+        rho = rho_power(
+            g, k, "laplacian", max_subset=args.max_subset, budget=args.budget
+        )
         cases.append((k, lam, rho))
     return rho_q, cases
 
@@ -351,7 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if k:
             p.add_argument("--k", required=True, help="edge rank (comma list allowed)")
         if enumeration:
-            p.add_argument("--budget", type=int, default=None, help="matrix budget")
+            p.add_argument(
+                "--budget", type=int, default=DEFAULT_BUDGET, help="matrix budget"
+            )
             p.add_argument("--max-subset", type=int, default=DEFAULT_MAX_SUBSET)
             p.add_argument("--tol", type=float, default=1e-8)
         if formats:

@@ -19,6 +19,7 @@ import numpy as np
 from hyperspec.graphs import LoopedGraph, as_subset, connected_subsets
 from hyperspec.linalg import (
     BACKWARD_ERROR_TOL,
+    DEFAULT_DEDUP_TOL as DEDUP_TOL,
     ConvergenceError,
     SpectrumSet,
     check_dedup_tol,
@@ -54,7 +55,6 @@ __all__ = [
     "uniform_phase_matrix",
 ]
 
-DEDUP_TOL = 1e-8
 STRICT_MARGIN = 1e-6
 DEFAULT_MAX_SUBSET = 8
 DEFAULT_BUDGET = 10**6
@@ -104,17 +104,26 @@ def _phased_matrices(
     D + E A E and the adjacency kind is E A E.  When every phase is zero,
     E = I exactly: the exp and the products are skipped and the stack stays
     real, with the same values.
+
+    D and E are applied in place, with no (N, s, s) temporary beyond the
+    gathered A[U] and the phase products, and bit for bit as the dense
+    expressions: off the diagonal D - S is 0 - S and D + S is 0 + S (which
+    turns -0.0 into +0.0), and on it (0 -+ S) + d rounds as d -+ S.
     """
     size = index.shape[1]
     stack = adjacency[index[:, :, None], index[:, None, :]]
     if phases.any():
         units = np.exp(2j * np.pi * phases / k)
-        stack = units[:, :, None] * units[:, None, :] * stack
+        product = units[:, :, None] * units[:, None, :]
+        stack = np.multiply(product, stack, out=product)
     if kind == "adjacency":
         return stack
-    diag = np.zeros((len(index), size, size))
-    diag[:, range(size), range(size)] = degrees[index]
-    return diag - stack if kind == "laplacian" else diag + stack
+    if kind == "laplacian":
+        np.subtract(0.0, stack, out=stack)
+    else:
+        stack += 0.0
+    stack[:, range(size), range(size)] += degrees[index]
+    return stack
 
 
 def phase_classes(size: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -365,14 +374,11 @@ def _spectrum_report(
     matrices = g.degree_vector(), g.adjacency_matrix()
     if identity_only:
         blocks = _identity_blocks([subset for subset, _ in plan])
-        solved = _solve_blocks(matrices, k, kind, blocks, _symmetric_values)
+        solve = _symmetric_values
     else:
         blocks = [(s, _class_phases(len(s), k, range(quota))) for s, quota in plan]
-        # one call per subset, so that each stack holds one subset's classes
-        solved = [
-            _solve_blocks(matrices, k, kind, [block], eigvals_complex_stack)[0]
-            for block in blocks
-        ]
+        solve = eigvals_complex_stack
+    solved = _solve_blocks(matrices, k, kind, blocks, solve)
     values = np.concatenate([v.ravel() for v in solved]) if solved else []
     witnesses = _Witnesses(k, kind, blocks, solved)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
@@ -442,37 +448,6 @@ def _below(bound: float | np.ndarray, threshold: float):
     return bound + 1e-8 * np.maximum(1.0, bound) < threshold
 
 
-class _TopModulus:
-    """Running maximum eigenvalue modulus of rho_power and the rows tied with it."""
-
-    def __init__(self, k: int, kind: str, tie_tol: float) -> None:
-        self.k, self.kind, self.tie_tol = k, kind, tie_tol
-        self.top = -np.inf
-        self.tied: list[tuple[float, ReductionWitness, np.ndarray]] = []
-
-    @property
-    def threshold(self) -> float:
-        return self.top - self.tie_tol * max(1.0, self.top)
-
-    def add(self, block: _Block, values: np.ndarray) -> None:
-        subset, phases = block
-        # np.hypot rounds exactly like abs() on a Python complex
-        moduli = np.hypot(values.real, values.imag)
-        tops = moduli.max(axis=1)
-        self.top = max(self.top, float(tops.max()))
-        threshold = self.threshold
-        self.tied = [entry for entry in self.tied if entry[0] >= threshold]
-        for i in np.flatnonzero(tops >= threshold):
-            row_top = float(tops[i])
-            near = moduli[i] >= row_top - self.tie_tol * max(1.0, row_top)
-            nonneg = near & (values[i].imag >= 0)
-            # rows are sorted by (real, imag): the first hit is the minimum
-            j = np.flatnonzero(nonneg if nonneg.any() else near)[0]
-            assign = PhaseAssignment(self.k, tuple(phases[i].tolist()))
-            witness = ReductionWitness(subset, assign, self.kind, complex(values[i, j]))
-            self.tied.append((row_top, witness, values[i].copy()))
-
-
 def rho_power(
     g: LoopedGraph,
     k: int,
@@ -538,14 +513,19 @@ def rho_power(
     plan, complete, used = _plan_work(g, k, max_subset, budget)
     matrices = g.degree_vector(), g.adjacency_matrix()
     bounds = _perron_bounds(matrices, [subset for subset, _ in plan], kind)
-    found = _TopModulus(k, kind, tie_tol)
+    solved: list[tuple[_Block, np.ndarray]] = []
+    top = threshold = -np.inf
 
     def solve(block: _Block) -> None:
+        nonlocal top, threshold
         (values,) = _solve_blocks(matrices, k, kind, [block], eigvals_complex_stack)
-        found.add(block, values)
+        solved.append((block, values))
+        # np.hypot rounds exactly like abs() on a Python complex
+        top = max(top, float(np.hypot(values.real, values.imag).max()))
+        threshold = top - tie_tol * max(1.0, top)
 
     for position in np.argsort(-bounds, kind="stable"):
-        if _below(bounds[position], found.threshold):
+        if _below(bounds[position], threshold):
             break
         subset, quota = plan[position]
         phases = _class_phases(len(subset), k, range(quota))
@@ -553,23 +533,34 @@ def rho_power(
         (class_bounds,) = _solve_blocks(matrices, k, kind, block, _gelfand_bounds)
         if np.isfinite(class_bounds).all():
             first = int(np.argmax(class_bounds))
-            if _below(class_bounds[first], found.threshold):
+            if _below(class_bounds[first], threshold):
                 continue
             solve((subset, phases[first : first + 1]))
-            reach = ~_below(class_bounds, found.threshold)
+            reach = ~_below(class_bounds, threshold)
             reach[first] = False
             phases = phases[reach]
         if len(phases):
             solve((subset, phases))
-    if not found.tied:
+    # the threshold only rose, so the rows at or above its final value are
+    # the tied rows of the unpruned enumeration
+    tied = {}
+    for (subset, phases), values in solved:
+        moduli = np.hypot(values.real, values.imag)
+        for i in np.flatnonzero(moduli.max(axis=1) >= threshold):
+            tied[subset, tuple(phases[i].tolist())] = values[i], moduli[i]
+    if not tied:
         raise ValueError("reduction produced no matrices")
-    reported = {(w.subset, w.phase.phases): row for _, w, row in found.tied}
-    _certify(matrices, k, kind, reported)
-    witness = min(
-        (w for _, w, _ in found.tied),
-        key=lambda w: (len(w.subset), w.subset, w.phase.phases),
-    )
-    return RhoResult(found.top, witness, complete, used)
+    _certify(matrices, k, kind, {key: row for key, (row, _) in tied.items()})
+    subset, phases = min(tied, key=lambda key: (len(key[0]), key))
+    values, moduli = tied[subset, phases]
+    row_top = float(moduli.max())
+    near = moduli >= row_top - tie_tol * max(1.0, row_top)
+    nonneg = near & (values.imag >= 0)
+    # rows are sorted by (real, imag): the first hit is the minimum
+    j = np.flatnonzero(nonneg if nonneg.any() else near)[0]
+    assign = PhaseAssignment(k, phases)
+    witness = ReductionWitness(subset, assign, kind, complex(values[j]))
+    return RhoResult(top, witness, complete, used)
 
 
 def uniform_phase_matrix(g: LoopedGraph, k: int) -> np.ndarray:

@@ -163,10 +163,6 @@ def nqz_power_iteration(
 # -- eigenvector lifts -------------------------------------------------------
 
 
-def _half_power(g: LoopedGraph, k: int) -> tuple[Hypergraph, HalfEdgeMap]:
-    return generalized_power(g, k, k // 2)
-
-
 def _check_matrix_eigenpair(
     matrix: np.ndarray, value: complex, x: np.ndarray
 ) -> None:
@@ -202,7 +198,7 @@ def lift_real(
         raise ValueError("one vector entry per subset member is required")
     matrix = g.modified_induced_subgraph(subset).laplacian_matrix()
     _check_matrix_eigenpair(matrix, value, x.astype(complex))
-    h, halfmap = _half_power(g, k)
+    h, halfmap = generalized_power(g, k, k // 2)
     lifted = np.zeros(h.vertex_count)
     for i, u in enumerate(subset):
         magnitude = abs(x[i]) ** (2.0 / k)
@@ -255,7 +251,7 @@ def lift_phase(
         raise ValueError("one phase per subset member is required")
     matrix = reduced_matrix(g, k, subset, phases, "laplacian")
     _check_matrix_eigenpair(matrix, value, x)
-    h, halfmap = _half_power(g, k)
+    h, halfmap = generalized_power(g, k, k // 2)
     lifted = np.zeros(h.vertex_count, dtype=complex)
     for i, u in enumerate(subset):
         root = x[i] ** (2.0 / k)

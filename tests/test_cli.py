@@ -136,20 +136,14 @@ class TestSpectrumCommand:
         )
         assert code == 3
 
-    def test_env_budget_override(self, triangle_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPERSPEC_BUDGET", "2")
-        code = run_cli(
-            [
-                "spectrum",
-                "--input",
-                triangle_file,
-                "--k",
-                "4",
-                "--out",
-                str(tmp_path / "x.json"),
-            ]
-        )
-        assert code == 3
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--k", "4"], ["verify", "--check", "rho-equality", "--k", "4"]],
+        ids=["spectrum", "verify"],
+    )
+    def test_nonpositive_budget_is_an_input_error(self, triangle_file, argv, budget):
+        assert run_cli(argv + ["--input", triangle_file, "--budget", budget]) == 2
 
     def test_csv_output(self, triangle_file, tmp_path):
         out = tmp_path / "spec.csv"
@@ -312,20 +306,6 @@ class TestRecordedBytes:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv + [flag, value])
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize(
-        "command, budget", [("power", "abc"), ("certificate", "0")]
-    )
-    def test_commands_without_enumeration_ignore_the_budget_variable(
-        self, tmp_path, capsys, monkeypatch, triangle_file, command, budget
-    ):
-        argv = _recorded_argv(command, tmp_path, triangle_file)
-        capsys.readouterr()
-        assert run_cli(argv) == 0
-        plain = capsys.readouterr().out
-        monkeypatch.setenv("HYPERSPEC_BUDGET", budget)
-        assert run_cli(argv) == 0
-        assert capsys.readouterr().out == plain
 
 
 class TestVerifyCommand:

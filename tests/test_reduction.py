@@ -80,6 +80,27 @@ class TestReducedMatrix:
         assert np.allclose(m, m.T)
         assert not np.allclose(m, m.conj().T)
 
+    @pytest.mark.parametrize("classes", [81, 1], ids=["phased", "identity"])
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
+    def test_stacks_are_the_dense_expressions_bit_for_bit(self, kind, classes):
+        # paths of C7 leave zero entries off the diagonal, whose phase
+        # products carry signed zeros
+        g, k = cycle_graph(7), 6
+        degrees, adjacency = g.degree_vector(), g.adjacency_matrix()
+        paths = [s for s in connected_subsets(g, 4) if len(s) == 4]
+        phases = reduction._class_phases(4, k, range(classes))
+        index = np.array([paths[i % len(paths)] for i in range(classes)])
+        got = reduction._phased_matrices(degrees, adjacency, index, k, phases, kind)
+        stack = adjacency[index[:, :, None], index[:, None, :]]
+        if classes > 1:
+            units = np.exp(2j * np.pi * phases / k)
+            stack = units[:, :, None] * units[:, None, :] * stack
+        diag = np.zeros(stack.shape)
+        diag[:, range(4), range(4)] = degrees[index]
+        want = {"adjacency": stack, "laplacian": diag - stack, "signless": diag + stack}
+        assert got.dtype == want[kind].dtype
+        assert got.tobytes() == want[kind].tobytes()
+
     def test_disconnected_subset_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
@@ -662,6 +683,14 @@ class TestPrunedAndStackedSolves:
         assert sum(n for n, _, _ in shapes) - sum(certified) == chunked["budget_used"] == 1023
         assert len(shapes) > 100
 
+    def test_spectrum_solves_one_stack_per_subset_size(self, monkeypatch):
+        g, k = cycle_graph(5), 8
+        rows = _count_solved_rows(monkeypatch)
+        report = spectrum_power(g, k, "laplacian")
+        # 21 connected subsets in five sizes; each size fits in one stack
+        assert len(list(connected_subsets(g, 5))) == 21
+        assert len(rows) == 5 and sum(rows) == report.budget_used == 2724
+
     def test_tie_tolerance_outside_the_unit_interval_is_rejected(self):
         for tie_tol in (-1e-9, 1.0, 2.0):
             with pytest.raises(ValueError):
@@ -813,16 +842,16 @@ class TestCertifiedWitnesses:
             assert all(p.residual <= 1e-9 for p in pairs)
 
     def test_a_wrong_reported_spectrum_value_is_caught(self, monkeypatch):
-        g, k, target = cycle_graph(5), 8, 1000
+        g, k = cycle_graph(5), 8
+        subset, phases = _planned(g, k)[1000]
+        matrix = reduced_matrix(g, k, subset, phases)
         solve = reduction.eigvals_complex_stack
-        seen = []
 
         def moving(ms):
+            # the target is found by content, wherever its stack puts it
             values = solve(ms)
-            row = target - sum(seen)
-            if 0 <= row < len(values):
-                values[row, 0] += 1e-6
-            seen.append(len(values))
+            if ms.shape[1:] == matrix.shape:
+                values[(ms == matrix).all(axis=(1, 2)), 0] += 1e-6
             return values
 
         monkeypatch.setattr(reduction, "eigvals_complex_stack", moving)
@@ -830,11 +859,9 @@ class TestCertifiedWitnesses:
             uncertified.setattr(reduction, "_certify", lambda *args: None)
             report = spectrum_power(g, k, "laplacian")
         # the moved value is emitted on its own, witnessed by its matrix
-        subset, phases = _planned(g, k)[target]
-        moved = eig_complex_pairs(reduced_matrix(g, k, subset, phases))[0].value + 1e-6
+        moved = eig_complex_pairs(matrix)[0].value + 1e-6
         w = report.spectrum.witnesses[report.values.index(moved)]
         assert (w.subset, w.phase.phases, w.eigenvalue) == (subset, phases, moved)
-        seen.clear()
         with pytest.raises(ConvergenceError, match="not a certified eigenvalue") as info:
             spectrum_power(g, k, "laplacian")
         assert _named_matrix(info.value) == (subset, phases)

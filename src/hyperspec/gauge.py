@@ -17,6 +17,14 @@ g = 2 it is the odd-bipartiteness system that ``hypergraphs.odd_bipartition``
 solves.  Solving is exact integer arithmetic: CRT split of the modulus into
 prime powers by trial division, minimal-valuation elimination per component,
 with saturation rows making back-substitution complete.
+
+In a generalized power G^{k,s} the s members of a blown-up base vertex lie
+in the same edges, as do the k - 2s private members of one edge, so their
+columns in the system are equal: they are twins.  Row operations and
+saturation rows combine rows, so equal columns stay equal, and once the
+first twin of a class pivots the later ones are zero in every remaining
+row.  They are free and set to 0, so elimination runs over one column per
+twin class, with the same pivots and solution as over all columns.
 """
 
 from __future__ import annotations
@@ -116,6 +124,23 @@ def _valuation(a: int, p: int) -> int:
     return v
 
 
+def _first_twins(
+    rows: np.ndarray, var: np.ndarray, coeffs: np.ndarray, nvars: int, size: int
+) -> list[int]:
+    """The first variable of each twin class, in variable order.
+
+    Entry i puts coefficient coeffs[i] of variable var[i] in row rows[i] of
+    ``size`` rows.  Twins have equal columns, compared as bytes, one row of
+    the transposed array at a time.
+    """
+    columns = np.zeros((nvars, size), dtype=coeffs.dtype)
+    columns[var, rows] = coeffs
+    classes: dict[bytes, int] = {}
+    for v, column in enumerate(columns):
+        classes.setdefault(column.tobytes(), v)
+    return list(classes.values())
+
+
 def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | None:
     """One solution of the system mod p^e, or None.
 
@@ -127,11 +152,18 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
 
     Rows whose coefficients are all zero mod q never pivot and never change,
     so they are checked (a nonzero right-hand side makes the system
-    unsolvable) and dropped before elimination.  The other rows live in one
-    integer array, followed by a free slot for each saturation row a pivot
-    can add, so array order is the order in which rows joined.  Column scans
-    cover only the rows that have joined.  A pivot row leaves by being
-    zeroed.  The pivot of a column is the first row of least p^v = gcd(a, q);
+    unsolvable) and dropped before elimination.  Twin variables, whose
+    coefficient columns agree mod q, share one array column: row operations
+    and saturation rows are combinations of rows, so equal columns stay
+    equal.  Once the first twin's column is eliminated (or found zero), every
+    later twin's is zero in all remaining rows, so the later twins never
+    pivot, are free, and are set to 0 as every free variable is; the pivots
+    and the solution are those of the solve over all columns.  The other
+    rows live in one integer array with one column per twin class,
+    followed by a free slot for each saturation row a pivot can add, so
+    array order is the order in which rows joined.  Column scans cover only
+    the rows that have joined.  A pivot row leaves by being zeroed.  The
+    pivot of a column is the first row of least p^v = gcd(a, q);
     gcd(0, q) = q marks rows without the column.  The dtype holds every
     intermediate exactly: int16 while q^2 < 2^15, int64 beyond, since q is at
     most the modulus cap 2^20.
@@ -150,19 +182,26 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
         )
     coeffs = np.array([c % q for row, _ in system.rows for _, c in row], dtype=dtype)
     rhs = np.array([r % q for _, r in system.rows], dtype=dtype)
+    nonzero = coeffs != 0
+    at, var, coeffs = at[nonzero], var[nonzero], coeffs[nonzero]
     live = np.zeros(size, dtype=bool)
-    live[at[coeffs != 0]] = True
+    live[at] = True
     if (rhs[~live] != 0).any():
         return None
     free = int(live.sum())
     if not free:
         return [0] * nvars
-    active = np.zeros((free + nvars, nvars + 1), dtype=dtype)
-    keep = live[at]
-    active[(np.cumsum(live) - 1)[at[keep]], var[keep]] = coeffs[keep]
-    active[:free, nvars] = rhs[live]
+    rows = (np.cumsum(live) - 1)[at]
+    firsts = _first_twins(rows, var, coeffs, nvars, free)
+    width = len(firsts)
+    column = np.full(nvars, -1, np.intp)
+    column[firsts] = np.arange(width)
+    keep = column[var] >= 0
+    active = np.zeros((free + width, width + 1), dtype=dtype)
+    active[rows[keep], column[var[keep]]] = coeffs[keep]
+    active[:free, width] = rhs[live]
     pivots: list[tuple[list[int], int, int]] = []
-    for col in range(nvars):
+    for col in range(width):
         gcds = np.gcd(active[:free, col], q)
         idx = int(np.argmin(gcds))
         pivot = int(gcds[idx])
@@ -174,10 +213,10 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
         active[idx] = 0
         if v > 0:
             saturation = (row * p ** (e - v)) % q
-            if (saturation[:nvars] != 0).any():
+            if (saturation[:width] != 0).any():
                 active[free] = saturation
                 free += 1
-            elif saturation[nvars] != 0:
+            elif saturation[width] != 0:
                 return None
         # every remaining entry in this column has valuation >= v
         hit = np.flatnonzero(active[:free, col] != 0)
@@ -186,20 +225,23 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
         pivots.append((row.tolist(), col, v))
     left = np.flatnonzero((active[:free] != 0).any(axis=1))
     if left.size:
-        if (active[left[0], :nvars] != 0).any():
+        if (active[left[0], :width] != 0).any():
             raise AssertionError("elimination left a coefficient unprocessed")
         return None
-    solution = [0] * nvars
+    values = [0] * width
     for row, col, v in reversed(pivots):
-        s = row[nvars]
-        for j in range(col + 1, nvars):
+        s = row[width]
+        for j in range(col + 1, width):
             if row[j]:
-                s -= row[j] * solution[j]
+                s -= row[j] * values[j]
         s %= q
         pivot = p**v
         if s % pivot:
             return None
-        solution[col] = s // pivot
+        values[col] = s // pivot
+    solution = [0] * nvars
+    for v, value in zip(firsts, values):
+        solution[v] = value
     return solution
 
 

@@ -301,11 +301,12 @@ class Gauge:
             raise ValueError("modulus must be positive")
         clean = []
         for p in self.phases:
-            if isinstance(p, bool) or not isinstance(p, numbers.Integral):
-                raise ValueError("gauge phases must be exact integers")
-            p = int(p)
-            if not 0 <= p < self.modulus:
-                raise ValueError(f"phase {p} out of range [0, {self.modulus})")
+            if type(p) is not int:
+                if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+                    raise ValueError("gauge phases must be exact integers")
+                p = int(p)
+            if not 0 <= p < m:
+                raise ValueError(f"phase {p} out of range [0, {m})")
             clean.append(p)
         object.__setattr__(self, "modulus", int(m))
         object.__setattr__(self, "phases", tuple(clean))

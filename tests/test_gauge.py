@@ -138,6 +138,35 @@ def modular_systems(draw):
     return make_system(m, rows, rhs, nvars)
 
 
+@st.composite
+def twin_systems(draw):
+    """Systems whose variables copy a few base columns, scaled.
+
+    A copy scaled by 1 is a twin of its base column.  One scaled by a proper
+    divisor of m vanishes mod some prime powers of m only: a column of 3s
+    at m = 24 is zero mod 3 but not mod 8, where its copies are twins.
+    """
+    m = draw(st.sampled_from(sorted(FACTORS)))
+    base = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, m - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=base, max_size=base), max_size=8))
+    rhs = draw(st.lists(st.integers(0, m - 1), min_size=len(rows), max_size=len(rows)))
+    scales = st.sampled_from([1, 1] + [d for d in range(2, m) if m % d == 0])
+    copies = st.tuples(st.integers(0, base - 1), scales)
+    picks = draw(st.lists(copies, min_size=1, max_size=10))
+    coeff_rows = [[row[j] * c for j, c in picks] for row in rows]
+    return make_system(m, coeff_rows, rhs, len(picks))
+
+
+def distinct_columns(system, q):
+    """Oracle: the number of distinct coefficient columns mod q."""
+    columns = [[0] * len(system.rows) for _ in range(system.variable_count)]
+    for i, (row, _) in enumerate(system.rows):
+        for var, c in row:
+            columns[var][i] = c % q
+    return len({tuple(column) for column in columns})
+
+
 class TestBuildSimilaritySystem:
     def test_triangle_power_m4_solvable_with_anchor_phases(self):
         h, halfmap = generalized_power(cycle_graph(3), 4, 2)
@@ -433,18 +462,30 @@ class TestSolverAgainstReference:
                 system, p, e
             )
 
+    @settings(max_examples=300, deadline=None)
+    @given(twin_systems())
+    # copies of a column of 3s: twins mod 8, zero mod 3
+    @example(make_system(24, [[3, 1, 3, 3], [3, 2, 3, 0]], [3, 1]))
+    # the first twin pivots at valuation 1; its saturation row keeps the twins equal
+    @example(make_system(8, [[2, 1, 2], [4, 0, 4]], [2, 4]))
+    def test_systems_with_planted_twins(self, system):
+        for p, e in FACTORS[system.modulus]:
+            assert _solve_prime_power(system, p, e) == reference_solve_prime_power(
+                system, p, e
+            )
+
     def test_similarity_systems_of_generalized_powers(self):
         rng = random.Random(45)
         for k in (4, 6, 8, 12):
-            for _ in range(3):
+            # s = k/2 repeats each base column s times; below k/2 the k - 2s
+            # private vertices of an edge are twins as well
+            for s in sorted({k // 2, k // 2 - 1, 1}) * 2:
                 g = random_connected_graph(rng.randint(3, 7), rng.randint(0, 4), rng)
-                h, _ = generalized_power(g, k, k // 2)
-                systems = (
-                    build_similarity_system(h, 2),
-                    build_similarity_system(h, k),
-                    full_similarity_system(h, 2 * k),
-                )
-                for system in systems:
+                h, _ = generalized_power(g, k, s)
+                collapsed = (build_similarity_system(h, 2), build_similarity_system(h, k))
+                for system in collapsed:
+                    assert distinct_columns(system, k) < h.vertex_count
+                for system in collapsed + (full_similarity_system(h, 2 * k),):
                     for p, e in _factorize(system.modulus):
                         assert _solve_prime_power(
                             system, p, e
@@ -462,6 +503,21 @@ class TestSolverAgainstReference:
             tracemalloc.stop()
         assert gauge is not None
         assert peak < 6 * 2**20
+
+    def test_twin_columns_share_one_array_column(self):
+        # the k=24 half power has 720 variables in 60 twin classes; an array
+        # with a column per variable would take about 1.6 MiB
+        g = random_connected_graph(60, 61, random.Random(46))
+        h, _ = generalized_power(g, 24, 12)
+        system = build_similarity_system(h, 24)
+        tracemalloc.start()
+        try:
+            gauge = solve_mod_m(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gauge is not None
+        assert peak < 2**19
 
 
 class TestZeroRows:

@@ -495,6 +495,18 @@ class TestGauge:
         with pytest.raises(ValueError):
             Gauge(4, (4,))
 
+    def test_numpy_integer_phases_are_stored_as_int(self):
+        gauge = Gauge(np.int64(4), (np.int64(3), np.int16(0), 1))
+        assert gauge == Gauge(4, (3, 0, 1))
+        assert all(type(p) is int for p in gauge.phases)
+        with pytest.raises(ValueError, match="out of range"):
+            Gauge(4, (np.int8(-1),))
+
+    @pytest.mark.parametrize("phase", [True, False])
+    def test_rejects_a_bool_phase(self, phase):
+        with pytest.raises(ValueError, match="exact integers"):
+            Gauge(4, (1, phase))
+
     @pytest.mark.parametrize("modulus", [4.5, 4.0, "4", True])
     def test_rejects_non_integer_modulus(self, modulus):
         with pytest.raises(ValueError):

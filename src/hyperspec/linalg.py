@@ -2,13 +2,13 @@
 
 Eigenvalues come from LAPACK through numpy (Hessenberg reduction plus shifted
 QR underneath); every returned pair is certified a posteriori by its residual,
-with inverse-iteration refinement as a fallback.  Values-only solves certify
-nothing; their callers certify what they report.  Large complex stacks are
-split into row parts solved at once on the CPUs available, one thread per
-part; every matrix is still solved alone by the same LAPACK call, so the
-values are the same bits at any CPU count.  The nonnegative power iteration
-is written out longhand so it stays an independent cross-check of the dense
-solvers.
+and a pair that misses its certificate raises ConvergenceError.  Values-only
+solves certify nothing; their callers certify what they report.  Large
+complex stacks are split into row parts solved at once on the CPUs
+available, one thread per part; every matrix is still solved alone by the
+same LAPACK call, so the values are the same bits at any CPU count.  The
+nonnegative power iteration is written out longhand so it stays an
+independent cross-check of the dense solvers.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ PERRON_RESIDUAL_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its budget before meeting its tolerance."""
+    """A solver missed its tolerance: an eigenpair residual above its
+    certificate, or an iteration budget exhausted first.  ``index``, when
+    set, is the position in the stack of the matrix that failed."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -61,23 +63,18 @@ class EigenPair:
     residual: float
 
 
-def _inf_norm(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(m), axis=1)))
-
-
-def _normalize_inf(v: np.ndarray) -> np.ndarray:
-    # divide by the largest-modulus entry: makes that entry exactly 1
-    idx = int(np.argmax(np.abs(v)))
-    if v[idx] == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / v[idx]
-
-
-def _pair_residual(m: np.ndarray, value: complex, vector: np.ndarray) -> float:
-    r = m @ vector - value * vector
-    return float(np.max(np.abs(r)) / max(1.0, _inf_norm(m)))
+def _pairs(
+    stack: tuple[np.ndarray, np.ndarray, np.ndarray], cast: type
+) -> list[EigenPair]:
+    """The EigenPairs of a one-matrix ``(values, vectors, residuals)`` stack,
+    each value passed through ``cast`` and each vector a read-only copy."""
+    values, vectors, residuals = stack
+    pairs = []
+    for j in range(values.shape[1]):
+        vec = vectors[0, :, j].copy()
+        vec.flags.writeable = False
+        pairs.append(EigenPair(cast(values[0, j]), vec, float(residuals[0, j])))
+    return pairs
 
 
 def eig_real_symmetric_stack(
@@ -133,41 +130,7 @@ def eig_real_symmetric(m: np.ndarray) -> list[EigenPair]:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    values, vectors, residuals = eig_real_symmetric_stack(m[None])
-    pairs = []
-    for j in range(values.shape[1]):
-        vec = vectors[0, :, j].copy()
-        vec.flags.writeable = False
-        pairs.append(EigenPair(float(values[0, j]), vec, float(residuals[0, j])))
-    return pairs
-
-
-def _refine_pair(
-    m: np.ndarray, value: complex, vector: np.ndarray, sweeps: int
-) -> tuple[np.ndarray, float]:
-    """Inverse-iteration polish of an eigenvector for a fixed eigenvalue."""
-    n = m.shape[0]
-    scale = max(1.0, _inf_norm(m))
-    best_vec, best_res = vector, _pair_residual(m, value, vector)
-    shift = value
-    jitter = 1e-13 * scale
-    for _ in range(sweeps):
-        try:
-            w = np.linalg.solve(m - (shift + jitter) * np.eye(n), best_vec)
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-            continue
-        if not np.all(np.isfinite(w)) or np.max(np.abs(w)) == 0:
-            jitter *= 10.0
-            continue
-        w = _normalize_inf(w)
-        res = _pair_residual(m, value, w)
-        if res < best_res:
-            best_vec, best_res = w, res
-        if best_res <= BACKWARD_ERROR_TOL:
-            break
-        jitter *= 10.0
-    return best_vec, best_res
+    return _pairs(eig_real_symmetric_stack(m[None]), float)
 
 
 def _complex_stack(ms: np.ndarray) -> np.ndarray:
@@ -208,17 +171,15 @@ def eig_complex_stack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Returns ``(values, vectors, residuals)`` of shapes (N, n), (N, n, n) and
     (N, n): each row of values sorted by (real, imag), column j of
     ``vectors[i]`` the max-norm-1 eigenvector of ``values[i, j]``, and its
-    residual relative to the matrix norm.  Pairs above 1e-9 get
-    inverse-iteration refinement; a pair still above raises ConvergenceError
-    whose ``index`` is the position of its matrix in the stack.  The
-    ``np.linalg.eig`` call is split across threads as in
+    residual relative to the matrix norm.  A residual above 1e-9 raises
+    ConvergenceError whose ``index`` is the position of its matrix in the
+    stack.  The ``np.linalg.eig`` call is split across threads as in
     :func:`eigvals_complex_stack`, with the same bits at any CPU count; the
-    sort, residuals and refinement run on the calling thread.
+    sort and residuals run on the calling thread.
     """
     ms = _complex_stack(ms)
-    n = ms.shape[1]
     values, vectors = split_solve(np.linalg.eig, ms)
-    if n == 0:
+    if ms.shape[1] == 0:
         return values, vectors, np.zeros(values.shape)
     # lexsort is stable, so equal keys keep LAPACK's order as sorted() would
     order = np.lexsort((values.imag, values.real), axis=-1)
@@ -236,16 +197,13 @@ def eig_complex_stack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # memory of the spectrum jobs by about 0.4 MiB
     gaps = ms @ vectors - vectors * values[:, None, :]
     residuals = np.max(np.abs(gaps), axis=1) / scale[:, None]
-    for i, j in np.argwhere(residuals > BACKWARD_ERROR_TOL):
-        vec, res = _refine_pair(
-            ms[i], complex(values[i, j]), vectors[i, :, j], sweeps=100 * n
+    failed = np.argwhere(residuals > BACKWARD_ERROR_TOL)
+    if failed.size:
+        i, j = failed[0]
+        raise ConvergenceError(
+            f"complex eigenpair residual {residuals[i, j]:.3e} exceeds 1e-9",
+            index=int(i),
         )
-        if res > BACKWARD_ERROR_TOL:
-            raise ConvergenceError(
-                f"complex eigenpair residual {res:.3e} exceeds 1e-9", index=int(i)
-            )
-        vectors[i, :, j] = vec
-        residuals[i, j] = res
     return values, vectors, residuals
 
 
@@ -255,13 +213,7 @@ def eig_complex_pairs(m: np.ndarray) -> list[EigenPair]:
     The one-matrix case of :func:`eig_complex_stack`: each pair carries a
     certified residual below 1e-9 relative to the matrix norm.
     """
-    values, vectors, residuals = eig_complex_stack(np.asarray(m)[None])
-    pairs = []
-    for j in range(values.shape[1]):
-        vec = vectors[0, :, j].copy()
-        vec.flags.writeable = False
-        pairs.append(EigenPair(complex(values[0, j]), vec, float(residuals[0, j])))
-    return pairs
+    return _pairs(eig_complex_stack(np.asarray(m)[None]), complex)
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -308,7 +260,6 @@ def power_iteration_nonneg(m: np.ndarray, budget: int = 100_000) -> EigenPair:
         raise ValueError("empty matrix")
     if not _strongly_connected(m > 0):
         raise ValueError("matrix zero pattern is reducible")
-    scale = max(1.0, _inf_norm(m))
     x = np.ones(n)
     value = 0.0
     converged = False
@@ -325,7 +276,8 @@ def power_iteration_nonneg(m: np.ndarray, budget: int = 100_000) -> EigenPair:
     if not converged:
         raise ConvergenceError(f"power iteration budget {budget} exhausted")
     x = x / np.max(x)
-    res = _pair_residual(m, value, x)
+    norm = float(np.max(np.sum(np.abs(m), axis=1)))
+    res = float(np.max(np.abs(m @ x - value * x)) / max(1.0, norm))
     if res > PERRON_RESIDUAL_TOL:
         raise ConvergenceError(f"power iteration residual {res:.3e} exceeds 1e-10")
     x.flags.writeable = False
@@ -534,7 +486,8 @@ class SpectrumSet:
     ):
         if not isinstance(values, np.ndarray):
             values = [complex(v) for v in values]
-        points = np.array(values, dtype=complex)
+        # points is only read, so a complex array is used without a copy
+        points = np.asarray(values, dtype=complex)
         if points.ndim != 1:
             raise ValueError("spectrum values must form a one-dimensional sequence")
         if witnesses is not None and len(witnesses) != len(points):

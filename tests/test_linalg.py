@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from hyperspec import _split, linalg, reduction
 from hyperspec.cli import main
-from hyperspec.graphs import complete_graph, cycle_graph, format_edge_list
+from hyperspec.graphs import (
+    complete_graph,
+    connected_subsets,
+    cycle_graph,
+    format_edge_list,
+)
 from hyperspec.linalg import (
     COMPLEX_CAP,
     MIN_DEDUP_TOL,
@@ -213,6 +218,57 @@ class TestEigvalsComplexStack:
             eigvals_complex_stack(ms)
         with pytest.raises(ValueError, match=message):
             eig_complex_stack(ms)
+
+
+class TestResidualGate:
+    """eig_complex_stack returns LAPACK's pairs or raises; it never repairs one.
+
+    Every pair's residual is checked against 1e-9 and the first miss raises
+    ConvergenceError naming its matrix.  LAPACK's pairs clear that gate by
+    orders of magnitude, defective matrices included, which the margin tests
+    pin at 1e-12.
+    """
+
+    def test_a_pair_that_misses_its_certificate_raises_with_its_matrix(self, monkeypatch):
+        solve = linalg.split_solve
+
+        def perturbed(eig, ms):
+            values, vectors = solve(eig, ms)
+            vectors[3, :, 1] += 1e-3
+            return values, vectors
+
+        monkeypatch.setattr(linalg, "split_solve", perturbed)
+        rng = np.random.default_rng(11)
+        ms = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        with pytest.raises(ConvergenceError, match="exceeds 1e-9") as info:
+            eig_complex_stack(ms)
+        assert info.value.index == 3
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
+    def test_every_reduced_matrix_of_the_c5_fourth_power_clears_it(self, kind):
+        g, k, solved = cycle_graph(5), 4, 0
+        for subset in connected_subsets(g, 5):
+            ms = np.array(
+                [
+                    reduction.reduced_matrix(g, k, subset, phases, kind)
+                    for phases in reduction.phase_classes(len(subset), k)
+                ]
+            )
+            residuals = eig_complex_stack(ms)[2]
+            assert residuals.max() < 1e-12
+            solved += len(ms)
+        assert solved == 182
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            (1.5 - 0.5j) * np.eye(COMPLEX_CAP) + np.eye(COMPLEX_CAP, k=1),
+            np.array([[1, 1j], [1j, -1]]),
+        ],
+        ids=["jordan-64", "nilpotent-complex-symmetric"],
+    )
+    def test_defective_matrices_clear_it(self, m):
+        assert eig_complex_stack(m[None])[2].max() < 1e-12
 
 
 # the CPU counts a split solve is checked at: serial, two and three parts,
@@ -431,6 +487,21 @@ class TestSpectrumSet:
         assert s.values[0] == pytest.approx(1.0)
         assert s.witnesses[0] == "b"
         assert s.witnesses[1] == "a"
+
+    def test_a_complex_array_is_clustered_without_a_copy(self, monkeypatch):
+        seen = []
+        clusters = linalg._clusters
+
+        def recording(points, threshold):
+            seen.append(points)
+            return clusters(points, threshold)
+
+        monkeypatch.setattr(linalg, "_clusters", recording)
+        values = np.array([2.0, 1.0, 1.0 + 1e-12, 1j])
+        s = SpectrumSet(values, dedup_tol=1e-8)
+        assert seen[0] is values
+        assert len(s) == 3 and s.values[0] == 1j
+        assert values.tolist() == [2.0, 1.0, 1.0 + 1e-12, 1j]
 
     def test_set_equal(self):
         a = SpectrumSet([0.0, 1.0, 2.0])

@@ -8,10 +8,8 @@ import hyperspec
 # With bytecode writing off, every run compiles src/ at import, and CPython
 # needs about 230 KiB more memory to compile a module past roughly 4096
 # parser tokens, which reads as a resident-memory regression of every
-# command.  linalg.py is already past that step; it is held at its current
-# size, since growth past the step still costs compile memory.
+# command.  Every module stays below that step.
 MAX_TOKENS = 4000
-CEILINGS = {"linalg.py": 4386}
 SOURCES = sorted(Path(hyperspec.__file__).parent.glob("*.py"))
 
 
@@ -25,7 +23,4 @@ def parser_tokens(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_stays_below_the_compile_memory_step(path):
-    if path.name in CEILINGS:
-        assert parser_tokens(path) <= CEILINGS[path.name]
-    else:
-        assert parser_tokens(path) < MAX_TOKENS
+    assert parser_tokens(path) < MAX_TOKENS

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from hyperspec.gauge import certificate_report
 from hyperspec.graphs import LoopedGraph, parse_edge_list
@@ -75,7 +75,13 @@ def _read_graph(path: str) -> LoopedGraph:
 
 def _read_hypergraph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path} is not a hypergraph JSON file, as `hyperspec power` "
+                f"writes: {exc}"
+            ) from exc
     return from_json_dict(payload)
 
 
@@ -83,12 +89,42 @@ def _sig7(x: float) -> str:
     return format(float(x), ".7g")
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(parts: Iterable[str], out_path: str | None) -> None:
+    """Write the strings of ``parts``, in order, to ``out_path`` or stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
+
+
+# list items that the JSON writer encodes at a time
+_SLICE = 256
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json_parts(payload: dict) -> Iterator[str]:
+    """``payload``, a dict with string keys, as canonical JSON and a newline,
+    in pieces.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":")) + "\n"``.  Each top-level list is encoded
+    ``_SLICE`` items at a time by the same C encoder, so no piece holds more
+    than one slice of a long list, and nothing holds the whole text.
+    """
+    yield "{"
+    for n, key in enumerate(sorted(payload)):
+        value = payload[key]
+        yield ("," if n else "") + _encode(key) + ":"
+        if isinstance(value, list):
+            yield "["
+            for lo in range(0, len(value), _SLICE):
+                yield ("," if lo else "") + _encode(value[lo : lo + _SLICE])[1:-1]
+            yield "]"
+        else:
+            yield _encode(value)
+    yield "}\n"
 
 
 def _emit(
@@ -99,21 +135,22 @@ def _emit(
 ) -> None:
     """Write a command's result in its ``--format`` to ``--out`` or stdout.
 
-    json is ``payload`` as canonical JSON; csv is the header and rows that
-    ``table`` returns; pretty is the lines that ``pretty`` returns.
+    json is ``payload`` as canonical JSON, written in slices
+    (``_json_parts``); csv is the header and rows that ``table`` returns;
+    pretty is the lines that ``pretty`` returns.
     """
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        parts = _json_parts(payload)
     elif args.format == "csv":
         columns, rows = table()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
-        text = buf.getvalue()
+        parts = [buf.getvalue()]
     else:
-        text = "\n".join(pretty()) + "\n"
-    _write(text, args.out)
+        parts = ["\n".join(pretty()) + "\n"]
+    _write(parts, args.out)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -123,7 +160,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     (k,) = _k_values(args)
     g = _read_graph(args.input)
     h, halfmap = generalized_power(g, k, args.s if args.s is not None else k // 2)
-    _write(to_canonical_json(h, halfmap), args.out)
+    _write([to_canonical_json(h, halfmap)], args.out)
     return EXIT_OK
 
 
@@ -135,6 +172,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         g, k, args.kind, dedup_tol=args.tol, max_subset=args.max_subset, budget=args.budget
     )
     payload = report.to_json_dict()
+    # the payload repeats every value and witness of the report, which the
+    # output needs no longer
+    del report
     values = payload["values"]
 
     def pretty() -> list[str]:

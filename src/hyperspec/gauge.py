@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -172,16 +173,20 @@ def _solve_prime_power(system: ModularSystem, p: int, e: int) -> list[int] | Non
     nvars = system.variable_count
     size = len(system.rows)
     dtype = np.int16 if q * q < 2**15 else np.int64
-    at = np.array([i for i, (row, _) in enumerate(system.rows) for _ in row], np.intp)
-    var = np.array([v for row, _ in system.rows for v, _ in row], np.intp)
+    # one pass over the rows; their (variable, coefficient) entries, flat
+    terms, rhs = zip(*system.rows) if size else ((), ())
+    counts = np.fromiter(map(len, terms), np.intp, size)
+    entries = np.fromiter(chain.from_iterable(chain.from_iterable(terms)), np.int64)
+    at = np.repeat(np.arange(size), counts)
+    var = entries[0::2]
     repeated = (at[1:] == at[:-1]) & (var[1:] <= var[:-1])
     if var.size and (var.min() < 0 or var.max() >= nvars or repeated.any()):
         raise ValueError(
             "each row must name its variables in increasing order, "
             f"without repeats, within [0, {nvars})"
         )
-    coeffs = np.array([c % q for row, _ in system.rows for _, c in row], dtype=dtype)
-    rhs = np.array([r % q for _, r in system.rows], dtype=dtype)
+    coeffs = (entries[1::2] % q).astype(dtype)
+    rhs = (np.array(rhs, np.int64) % q).astype(dtype)
     nonzero = coeffs != 0
     at, var, coeffs = at[nonzero], var[nonzero], coeffs[nonzero]
     live = np.zeros(size, dtype=bool)

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from hyperspec import _dedup
+from hyperspec._dedup import MIN_DEDUP_TOL
 from hyperspec._split import split_solve
 
 __all__ = [
@@ -287,170 +289,6 @@ def power_iteration_nonneg(m: np.ndarray, budget: int = 100_000) -> EigenPair:
 # -- spectrum sets ----------------------------------------------------------
 
 
-# smallest accepted dedup_tol; at or above it the grid of _clusters is exact
-MIN_DEDUP_TOL = 2.0**-46
-
-# candidate pairs tested per step, and entries summed per step; bounds the
-# scratch arrays of a step
-_CHUNK = 1 << 14
-
-# cell side over the threshold, and the grid's shift in cell units, the
-# irrationals (sqrt(5) - 1) / 2 and sqrt(2) - 1: they keep exact values such
-# as integers off the cell edges
-_SIDE = 17 / 32
-_SHIFT = (0.6180339887498949, 0.4142135623730951)
-
-# the cell offsets (dx, dy) a linked pair can span, one of each +-pair,
-# nearest first
-_OFFSETS = sorted(
-    ((dx, dy) for dx in range(3) for dy in range(-2, 3) if (dx, dy) > (0, 0)),
-    key=lambda o: (o[0] ** 2 + o[1] ** 2, o),
-)
-
-
-def _roots(parents: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Root of each node in the forest ``parents``, by pointer jumping."""
-    roots = parents[nodes]
-    while True:
-        up = parents[roots]
-        if np.array_equal(up, roots):
-            return roots
-        roots = up
-
-
-def _union(parents: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Join each pair (a, b) in the forest ``parents``, whose roots are minima.
-
-    Each round hooks both roots of every still-separate pair onto the smaller
-    one; ``np.minimum.at`` settles roots hooked by several pairs at once.
-    """
-    while True:
-        ra, rb = _roots(parents, a), _roots(parents, b)
-        apart = ra != rb
-        if not apart.any():
-            return
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
-        low = np.minimum(ra, rb)
-        np.minimum.at(parents, ra, low)
-        np.minimum.at(parents, rb, low)
-
-
-def _clusters(points: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-linkage clusters of complex points at ``threshold``.
-
-    Two points link when, in (real, imag) order, the later real part minus the
-    earlier is at most ``threshold`` and so is their distance.  Returns
-    ``(members, starts)``: the point indices grouped by cluster, clusters in
-    the order of their smallest index and members in (real, imag) order, and
-    the offset of each cluster in ``members``.
-
-    The points fall into square cells of side s = 17/32 of the threshold t,
-    cell (floor(re/s + a), floor(im/s + b)) for the shift (a, b).  Where
-    every |re|, |im| is at most t / MIN_DEDUP_TOL, as SpectrumSet ensures,
-    the two roundings of a cell coordinate move it by at most
-    3u(2**46 / (17/32) + 1) < 0.045 cell (u = 2**-53).  So two points of one
-    cell differ by less than 1.09 s < 0.58 t per axis and lie closer than
-    0.82 t: they pass the exact test and join without one.  Points whose
-    cells are 3 or more apart on an axis differ there by more than
-    1.91 s > 1.01 t, and fail it.  Union-find runs over cells: for each
-    offset of up to 2 cells per axis, the cell pairs not yet joined have
-    their point pairs tested, at most ``_CHUNK`` at a time, and a cell pair
-    leaves the queue as soon as it joins.
-    """
-    count = len(points)
-    order = np.lexsort((points.imag, points.real))
-    re, im = points.real[order], points.imag[order]
-    # equal points always link, so the cells hold the distinct values and
-    # every sorted position joins the component of its distinct value
-    fresh = np.ones(count, dtype=bool)
-    fresh[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
-    distinct = np.cumsum(fresh) - 1
-    re, im = re[fresh], im[fresh]
-    side = threshold * _SIDE
-    # complex cell coordinates sort lexicographically, for np.unique and
-    # np.searchsorted
-    coords = np.empty(len(re), dtype=complex)
-    coords.real = np.floor(re / side + _SHIFT[0])
-    coords.imag = np.floor(im / side + _SHIFT[1])
-    cells, cell_of = np.unique(coords, return_inverse=True)
-    del coords
-    # the points of cell c are by_cell[firsts[c] : firsts[c] + sizes[c]]
-    by_cell = np.argsort(cell_of, kind="stable")
-    sizes = np.bincount(cell_of, minlength=len(cells))
-    firsts = np.cumsum(sizes) - sizes
-    parents = np.arange(len(cells))
-    last = len(cells) - 1
-    for dx, dy in _OFFSETS:
-        targets = cells + complex(dx, dy)
-        found = np.minimum(np.searchsorted(cells, targets), last)
-        a = np.flatnonzero(cells[found] == targets)
-        b = found[a]
-        # cell pair i owes sizes[a[i]] * sizes[b[i]] point pairs; done[i] are tested
-        owed = sizes[a] * sizes[b]
-        done = np.zeros(len(a), dtype=owed.dtype)
-        while True:
-            queue = (done < owed) & (_roots(parents, a) != _roots(parents, b))
-            if not queue.any():
-                break
-            a, b, owed, done = a[queue], b[queue], owed[queue], done[queue]
-            left = owed - done
-            take = np.clip(_CHUNK - (np.cumsum(left) - left), 0, left)
-            rows = np.repeat(np.arange(len(a)), take)
-            taken = np.cumsum(take) - take
-            j = done[rows] + np.arange(len(rows)) - taken[rows]
-            across = sizes[b[rows]]
-            p = by_cell[firsts[a[rows]] + j // across]
-            q = by_cell[firsts[b[rows]] + j % across]
-            lo, hi = np.minimum(p, q), np.maximum(p, q)
-            dre = re[hi] - re[lo]
-            # np.hypot rounds exactly like abs() on a Python complex
-            near = (dre <= threshold) & (np.hypot(dre, im[hi] - im[lo]) <= threshold)
-            _union(parents, a[rows[near]], b[rows[near]])
-            done += take
-    # key each cluster by its smallest point index; a stable sort of the
-    # sorted positions keeps (real, imag) order within each cluster
-    roots = _roots(parents, cell_of)[distinct]
-    smallest = np.full(len(cells), count)
-    np.minimum.at(smallest, roots, order)
-    keys = smallest[roots]
-    grouped = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[grouped], prepend=-1))
-    return order[grouped], starts
-
-
-def _means(grouped: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The mean of each run ``grouped[starts[i]:starts[i + 1]]``.
-
-    Bit for bit ``sum(run) / len(run)`` on Python complex numbers: the sum
-    is sequential, 0.0 + v1 + v2 + ..., and the quotient by the integer n
-    is CPython's complex one, ((re + im * 0.0) / n, (im - re * 0.0) / n).
-    Runs are padded with zeros to the power of two at or above their length
-    and summed ``_CHUNK`` entries at a time by a cumulative sum along rows.
-    Every partial sum after 0.0 + v1 differs from -0.0, so the padding
-    leaves the sums unchanged.
-    """
-    sizes = np.diff(starts, append=len(grouped))
-    sums = np.empty(len(starts), dtype=complex)
-    bits = np.ceil(np.log2(sizes)).astype(int)
-    for bit in range(int(bits.max()) + 1):
-        bucket = np.flatnonzero(bits == bit)
-        width = 1 << bit
-        cols = np.arange(width)
-        step = max(1, _CHUNK // width)
-        for lo in range(0, len(bucket), step):
-            runs = bucket[lo : lo + step]
-            padded = np.zeros((len(runs), width), dtype=complex)
-            inside = cols < sizes[runs, None]
-            padded[inside] = grouped[(starts[runs, None] + cols)[inside]]
-            padded[:, 0] += 0.0  # each sum starts 0.0 + v1
-            np.cumsum(padded, axis=1, out=padded)
-            sums[runs] = padded[:, -1]
-    means = np.empty_like(sums)
-    means.real = (sums.real + sums.imag * 0.0) / sizes
-    means.imag = (sums.imag - sums.real * 0.0) / sizes
-    return means
-
-
 def check_dedup_tol(dedup_tol: float) -> None:
     """Raise ValueError unless ``dedup_tol`` is at least ``MIN_DEDUP_TOL`` (NaN is not)."""
     if not dedup_tol >= MIN_DEDUP_TOL:
@@ -472,10 +310,13 @@ class SpectrumSet:
     buckets the rest into square cells of side 17/32 of the threshold: points
     of one cell always link, and a linked pair is at most two cells apart per
     axis.  Union-find over the cells joins neighbouring cells whose points
-    link, testing candidate pairs at most 2**14 at a time and dropping a cell
+    link, testing candidate pairs at most 2**12 at a time and dropping a cell
     pair once it is joined, so scratch memory stays bounded however large a
-    cluster is.  Each mean is the sequential sum of its members in (real,
-    imag) order over their count, computed for all clusters at once.
+    cluster is: beside its input, which it reads without a copy, a round
+    holds at most 33 bytes per point and about 160 per occupied cell
+    (``hyperspec._dedup`` itemizes them).  Each mean is the sequential sum
+    of its members in (real, imag) order over their count, computed for all
+    clusters at once.
     """
 
     def __init__(
@@ -499,20 +340,24 @@ class SpectrumSet:
         scale = max(1.0, float(np.hypot(points.real, points.imag).max(initial=0.0)))
         threshold = self.dedup_tol * scale
 
-        # earliest input index of each value; clusters keep their smallest
-        earliest = np.arange(len(points))
+        # earliest input index of each value, once clusters have merged; a
+        # cluster keeps its smallest
+        earliest = None
         while True:
-            members, starts = _clusters(points, threshold)
+            members, starts = _dedup.clusters(points, threshold)
             if len(starts) == len(points):
                 break
-            points = _means(points[members], starts)
-            earliest = earliest[np.minimum.reduceat(members, starts)]
+            smallest = np.minimum.reduceat(members, starts)
+            earliest = smallest if earliest is None else earliest[smallest]
+            points = _dedup.means(points, members, starts)
 
-        order = np.lexsort((points.imag, points.real))
+        order = np.argsort(points, kind="stable")
         points = points[order]
+        if earliest is not None:
+            order = earliest[order]
         self.values: tuple[complex, ...] = tuple(points.tolist())
         self.witnesses: tuple[object, ...] = tuple(
-            None if witnesses is None else witnesses[i] for i in earliest[order].tolist()
+            None if witnesses is None else witnesses[i] for i in order.tolist()
         )
         self._scale = max(1.0, float(np.hypot(points.real, points.imag).max(initial=0.0)))
 

@@ -187,10 +187,13 @@ def _class_phases(size: int, k: int, positions: Sequence[int]) -> np.ndarray:
     """Phases of the classes at ``positions`` in ``phase_classes(size, k)``.
 
     Class i spells i in base k/2, most significant digit first, which is the
-    lexicographic order of ``phase_classes``.  One row per position.
+    lexicographic order of ``phase_classes``.  One row per position, in
+    the narrowest signed integer dtype that holds every phase: int8 up to
+    k = 256.
     """
     rest = np.asarray(positions, dtype=np.int64)
-    phases = np.empty((len(rest), size), dtype=np.int64)
+    # the narrowest signed dtype that holds k/2 - 1 (it holds -k/2)
+    phases = np.empty((len(rest), size), dtype=np.min_scalar_type(-(k // 2)))
     for column in range(size - 1, -1, -1):
         rest, phases[:, column] = np.divmod(rest, k // 2)
     return phases
@@ -201,52 +204,89 @@ def _identity_blocks(subsets: Sequence[tuple[int, ...]]) -> list[_Block]:
     return [(subset, np.zeros((1, len(subset)), np.int64)) for subset in subsets]
 
 
+def _stacks(
+    blocks: Sequence[_Block], positions: list[int], rows: int
+) -> list[list[tuple[int, int, int]]]:
+    """The phase rows of the blocks at ``positions``, block after block, cut
+    into stacks of at most ``rows`` rows; a stack lists the (position, lo,
+    hi) row ranges it takes from each block."""
+    stacks, stack, room = [], [], rows
+    for position in positions:
+        count, lo = len(blocks[position][1]), 0
+        while count - lo >= room:  # the rest of the block fills the stack
+            stack.append((position, lo, lo + room))
+            stacks.append(stack)
+            lo, stack, room = lo + room, [], rows
+        if lo < count:
+            stack.append((position, lo, count))
+            room -= count - lo
+    return stacks + [stack] if stack else stacks
+
+
 def _solve_blocks(
     matrices: tuple[np.ndarray, np.ndarray],
     k: int,
     kind: str,
     blocks: Sequence[_Block],
     solve: Callable[[np.ndarray], np.ndarray],
-) -> list[np.ndarray]:
-    """``solve`` of the reduced matrices of each block, one array per block.
+) -> tuple[np.ndarray, list[int]]:
+    """``solve`` of the reduced matrices of every block, in one flat array.
 
-    ``matrices`` are D and A of the base graph.  Blocks of one subset size
-    share stacks: their rows go to ``_phased_matrices`` in block order, at
-    most ``_STACK_ENTRIES`` matrix entries per stack, and ``solve`` maps a
-    stack to one result row per matrix.  A lone block of its size passes its
-    one-row subset on whole.  A ConvergenceError of ``solve`` is re-raised
-    naming the subset and phases of its ``index`` row (the first without
-    one).  Every block needs at least one row.
+    ``matrices`` are D and A of the base graph, and ``solve`` maps a stack of
+    matrices to one result row per matrix, of a width fixed by their size.
+    Returns ``(values, ends)``: the results of block i, row after row, end
+    at ``values[ends[i] - 1]`` and start where those of block i - 1 end.
+    Blocks of one subset size share stacks: their rows go to
+    ``_phased_matrices`` in block order, at most ``_STACK_ENTRIES`` matrix
+    entries per stack, gathered from the blocks that a stack spans; a stack
+    within one block passes its one-row subset on whole.  The first stack of
+    every size is solved first, which sets the widths and so the layout of
+    ``values``; every other stack is written there as soon as it is solved,
+    so no size's rows or results are ever copied whole.  A ConvergenceError
+    of ``solve`` is re-raised naming the subset and phases of its ``index``
+    row (the first without one).  Every block needs at least one row.
     """
     sizes: dict[int, list[int]] = {}
     for position, (subset, _) in enumerate(blocks):
         sizes.setdefault(len(subset), []).append(position)
-    results: list = [None] * len(blocks)
-    for positions in sizes.values():
-        counts = [len(blocks[p][1]) for p in positions]
-        index = np.array([blocks[p][0] for p in positions])
-        if len(positions) == 1:
-            phases = blocks[positions[0]][1]
+
+    def run(stack: list[tuple[int, int, int]]) -> np.ndarray:
+        index = np.array([blocks[p][0] for p, _, _ in stack])
+        phases = [blocks[p][1][lo:hi] for p, lo, hi in stack]
+        if len(stack) == 1:
+            phases = phases[0]
         else:
-            phases = np.concatenate([blocks[p][1] for p in positions])
-            index = np.repeat(index, counts, axis=0)
-        batch = max(1, _STACK_ENTRIES // phases.shape[1] ** 2)
-        parts = []
-        for lo in range(0, len(phases), batch):
-            rows = slice(lo, lo + batch)
-            members = index if len(index) == 1 else index[rows]
-            stack = _phased_matrices(*matrices, members, k, phases[rows], kind)
-            try:
-                parts.append(solve(stack))
-            except ConvergenceError as exc:
-                row = lo + (exc.index or 0)
-                subset = tuple(index[row if len(index) > 1 else 0].tolist())
-                where = f"subset {subset}, phases {tuple(phases[row].tolist())}"
-                raise ConvergenceError(f"{exc} at {where}") from exc
-        solved = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for p, end, count in zip(positions, itertools.accumulate(counts), counts):
-            results[p] = solved[end - count : end]
-    return results
+            phases = np.concatenate(phases)
+            index = np.repeat(index, [hi - lo for _, lo, hi in stack], axis=0)
+        try:
+            return solve(_phased_matrices(*matrices, index, k, phases, kind))
+        except ConvergenceError as exc:
+            row = exc.index or 0
+            subset = tuple(index[row if len(index) > 1 else 0].tolist())
+            where = f"subset {subset}, phases {tuple(phases[row].tolist())}"
+            raise ConvergenceError(f"{exc} at {where}") from exc
+
+    cuts = [_stacks(blocks, group, max(1, _STACK_ENTRIES // s**2)) for s, group in sizes.items()]
+    firsts = [run(stacks[0]) for stacks in cuts]
+    width = {s: first[0].size for s, first in zip(sizes, firsts)}
+    counts = [len(phases) * width[len(subset)] for subset, phases in blocks]
+    ends = list(itertools.accumulate(counts))
+    values = np.empty(sum(counts), np.result_type(float, *firsts))
+
+    def put(stack: list[tuple[int, int, int]], part: np.ndarray) -> None:
+        # each range of rows goes to its block's place in values
+        step, row = part[0].size, 0
+        for p, lo, hi in stack:
+            start = ends[p] - counts[p] + lo * step
+            values[start : start + (hi - lo) * step] = part[row : row + hi - lo].ravel()
+            row += hi - lo
+
+    for stacks in cuts:
+        put(stacks[0], firsts.pop(0))
+    for stacks in cuts:
+        for stack in stacks[1:]:
+            put(stack, run(stack))
+    return values, ends
 
 
 def _symmetric_values(stack: np.ndarray) -> np.ndarray:
@@ -275,8 +315,9 @@ def _certify(
         return np.column_stack((eig_complex_stack(stack)[0], norms))
 
     blocks = [(subset, np.array([phases])) for subset, phases in reported]
-    solved = _solve_blocks(matrices, k, kind, blocks, certified)
-    for (key, values), (row,) in zip(reported.items(), solved):
+    solved, ends = _solve_blocks(matrices, k, kind, blocks, certified)
+    for (key, values), start, end in zip(reported.items(), [0, *ends], ends):
+        row = solved[start:end]
         gaps = np.abs(np.subtract.outer(values, row[:-1]))
         if (gaps.min(axis=1) > BACKWARD_ERROR_TOL * row[-1].real).any():
             raise ConvergenceError(
@@ -323,39 +364,38 @@ def _perron_bounds(
     blocks = _identity_blocks(subsets)
     try:
         # all-zero phases make any even k the same
-        values = _solve_blocks(matrices, 2, majorant, blocks, _symmetric_values)
+        values, ends = _solve_blocks(matrices, 2, majorant, blocks, _symmetric_values)
     except ConvergenceError:
         return np.full(len(subsets), np.inf)
-    return np.array([row[0, -1] for row in values])
+    # each subset's values ascend, so its last is the largest
+    return values[np.array(ends) - 1]
 
 
 class _Witnesses(Sequence):
     """The witness of every enumerated eigenvalue, built only when read.
 
-    Indexes the eigenvalues of the solved blocks row by row, in plan order,
-    with ``values[i]`` the rows of ``blocks[i]``; dedup reads one witness per
-    cluster.
+    Indexes the flat eigenvalue array of the solved blocks, in plan order:
+    the values of ``blocks[i]`` end where ``ends[i]`` says, one row of |U|
+    values per phase row.  Dedup reads one witness per cluster.
     """
 
     def __init__(
-        self, k: int, kind: str, blocks: list[_Block], values: list[np.ndarray]
+        self, k: int, kind: str, blocks: list[_Block], values: np.ndarray, ends: list[int]
     ) -> None:
-        self._k, self._kind, self._blocks, self._values = k, kind, blocks, values
-        self._ends = list(itertools.accumulate(v.size for v in values))
+        self._k, self._kind, self._blocks = k, kind, blocks
+        self._values, self._ends = values, ends
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return len(self._values)
 
     def __getitem__(self, index: int) -> ReductionWitness:
         if not 0 <= index < len(self):
             raise IndexError("witness index out of range")
         block = bisect.bisect_right(self._ends, index)
         subset, phases = self._blocks[block]
-        values = self._values[block]
-        start = self._ends[block] - values.size
-        row, col = divmod(int(index) - start, values.shape[1])
+        row = (int(index) - self._ends[block] + phases.size) // len(subset)
         assign = PhaseAssignment(self._k, tuple(phases[row].tolist()))
-        return ReductionWitness(subset, assign, self._kind, values.item(row, col))
+        return ReductionWitness(subset, assign, self._kind, self._values.item(index))
 
 
 def _spectrum_report(
@@ -378,9 +418,8 @@ def _spectrum_report(
     else:
         blocks = [(s, _class_phases(len(s), k, range(quota))) for s, quota in plan]
         solve = eigvals_complex_stack
-    solved = _solve_blocks(matrices, k, kind, blocks, solve)
-    values = np.concatenate([v.ravel() for v in solved]) if solved else []
-    witnesses = _Witnesses(k, kind, blocks, solved)
+    values, ends = _solve_blocks(matrices, k, kind, blocks, solve)
+    witnesses = _Witnesses(k, kind, blocks, values, ends)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
     if not identity_only:
         reported: dict = {}
@@ -518,7 +557,8 @@ def rho_power(
 
     def solve(block: _Block) -> None:
         nonlocal top, threshold
-        (values,) = _solve_blocks(matrices, k, kind, [block], eigvals_complex_stack)
+        values, _ = _solve_blocks(matrices, k, kind, [block], eigvals_complex_stack)
+        values = values.reshape(len(block[1]), -1)
         solved.append((block, values))
         # np.hypot rounds exactly like abs() on a Python complex
         top = max(top, float(np.hypot(values.real, values.imag).max()))
@@ -530,7 +570,7 @@ def rho_power(
         subset, quota = plan[position]
         phases = _class_phases(len(subset), k, range(quota))
         block = [(subset, phases)]
-        (class_bounds,) = _solve_blocks(matrices, k, kind, block, _gelfand_bounds)
+        class_bounds, _ = _solve_blocks(matrices, k, kind, block, _gelfand_bounds)
         if np.isfinite(class_bounds).all():
             first = int(np.argmax(class_bounds))
             if _below(class_bounds[first], threshold):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hyperspec.gauge import build_similarity_system, certificate_report, solve_mod_m
-from hyperspec.graphs import LoopedGraph, cycle_graph
+from hyperspec.graphs import LoopedGraph, complete_graph, cycle_graph
 from hyperspec.hypergraphs import Hypergraph, generalized_power, odd_bipartition
 from hyperspec.linalg import eig_complex_pairs, eig_real_symmetric, power_iteration_nonneg, spectral_radius
 from hyperspec.reduction import (
@@ -97,6 +97,25 @@ def test_criterion_03_largest_h_eigenvalue_matches_base_laplacian():
     assert abs(lambda_max_laplacian(C5, 4) - 3.6180340) <= 1e-6
     report(3, "lambda_max of the Laplacian tensor equals the base matrix value: "
               "3 for the triangle, 3.6180340 for the pentagon")
+
+
+def test_criterion_03_h_spectrum_enumeration_reaches_the_base_laplacian_bound():
+    # an independent path to the same value: the largest real value of the
+    # enumerated H-spectrum, the largest eigenvalue over every connected
+    # principal submatrix D[U] - A[U] of L(G) (the whole graph included),
+    # against lambda_max of L(G) itself
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    petersen = LoopedGraph(10, outer + spokes + inner)
+    cases = [(C3, 8), (cycle_graph(5), 8), (complete_graph(4), 8), (petersen, 10)]
+    for g, max_subset in cases:
+        for k in (4, 6, 8):
+            spectrum = h_spectrum_power(g, k, "L", max_subset=max_subset).spectrum
+            top = max(spectrum.real_values())
+            assert abs(top - lambda_max_laplacian(g, k)) <= 1e-9
+    report(3, "the largest real H-eigenvalue of the enumeration equals lambda_max "
+              "of the base Laplacian on C3, C5, K4 and Petersen at k = 4, 6, 8")
 
 
 def test_criterion_04_uniform_phase_gap_shrinks_with_k():

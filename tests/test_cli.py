@@ -308,6 +308,88 @@ class TestRecordedBytes:
         assert exc.value.code == 2
 
 
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "length",
+        [0, 1, cli._SLICE - 1, cli._SLICE, cli._SLICE + 1, 3 * cli._SLICE + 5],
+    )
+    def test_slices_give_the_bytes_of_json_dumps(self, length):
+        payload = {
+            "values": [[i / 7, -i * 1e-300] for i in range(length)],
+            "witnesses": [
+                {"subset": [i, i + 1], "phases": [0, i], "kind": "L", "eigenvalue": [i / 3, 0.0]}
+                for i in range(length)
+            ],
+            "moduli": {
+                "12": {"solvable": False, "gauge": None},
+                "2": {"solvable": True, "gauge": {"m": 2, "phases": list(range(length))}},
+            },
+            "summary": ["é and ∞"] * min(length, 3),
+            "complete": length % 2 == 0,
+            "budget_used": length,
+            "empty": [],
+        }
+        want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        parts = list(cli._json_parts(payload))
+        assert "".join(parts) == want
+        if length > cli._SLICE:
+            # long lists are written a slice at a time, never whole
+            assert max(map(len, parts)) < len(json.dumps(payload["witnesses"]))
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "certificate"])
+    def test_stdout_and_out_hold_the_canonical_bytes(
+        self, tmp_path, capsys, triangle_file, command
+    ):
+        if command == "spectrum":
+            # C5 at k = 8 reports 770 values, several slices of each list
+            path = tmp_path / "c5.edges"
+            path.write_text(format_edge_list(cycle_graph(5)))
+            argv = ["spectrum", "--input", str(path), "--k", "8"]
+        else:
+            argv = _recorded_argv(command, tmp_path, triangle_file)
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.json"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+        payload = json.loads(printed)
+        assert printed == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        if command == "spectrum":
+            assert len(payload["values"]) == 770 > 2 * cli._SLICE
+
+    def test_c7_spectrum_job_memory_is_bounded(self, tmp_path):
+        # the whole job: enumeration, dedup, certification, the JSON payload
+        # and the sliced writer; about 3.0 MiB when measured
+        path = tmp_path / "c7.edges"
+        path.write_text(format_edge_list(cycle_graph(7)))
+        out = tmp_path / "c7.json"
+        argv = ["spectrum", "--input", str(path), "--k", "6", "--out", str(out)]
+        assert run_cli(argv) == 0
+        want = out.read_bytes()
+        out.unlink()
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.read_bytes() == want
+        assert peak < 5 * 2**20
+
+    def test_a_million_phases_keep_their_bytes(self, triangle_file, capsys):
+        # C3 at k = 10**6: the first subset's 500 000 classes carry phases up
+        # to 499 999, held as int32, and 100 classes of the next follow before
+        # the budget runs out; the digest was recorded with int64 phases
+        capsys.readouterr()
+        argv = ["spectrum", "--input", triangle_file, "--k", "1000000"]
+        assert run_cli(argv + ["--budget", "500100"]) == 3
+        out = capsys.readouterr().out
+        digest = "6bd3f0f6363c0de5466c609a62beeea7ae47b13280383278f2dbbcbff237387d"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestVerifyCommand:
     # stdout bytes of verify runs that call rho_power, recorded before its
     # per-class pruning; pruning must not change them
@@ -620,6 +702,15 @@ class TestCertificateCommand:
         payload["half_edges"] = {"0": [0, 1], "2": [7, 9]}
         power.write_text(json.dumps(payload))
         assert run_cli(["certificate", "--input", str(power)]) == 2
+
+
+def test_a_hypergraph_that_is_not_json_names_the_file_and_format(
+    triangle_file, capsys
+):
+    assert run_cli(["certificate", "--input", triangle_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {triangle_file} is not a hypergraph JSON file")
+    assert "hyperspec power" in err
 
 
 class TestVertexCountCap:

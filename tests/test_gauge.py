@@ -474,6 +474,24 @@ class TestSolverAgainstReference:
                 system, p, e
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(modular_systems(), twin_systems()))
+    @example(make_system(9, [], [], 3))
+    def test_rows_are_read_in_one_pass(self, system):
+        walks = []
+
+        class Rows(tuple):
+            def __iter__(self):
+                walks.append(1)
+                return super().__iter__()
+
+        counted = ModularSystem(system.modulus, system.variable_count, Rows(system.rows))
+        for p, e in FACTORS[system.modulus]:
+            walks.clear()
+            got = _solve_prime_power(counted, p, e)
+            assert len(walks) <= 1
+            assert got == reference_solve_prime_power(system, p, e)
+
     def test_similarity_systems_of_generalized_powers(self):
         rng = random.Random(45)
         for k in (4, 6, 8, 12):

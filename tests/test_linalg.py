@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperspec import _split, linalg, reduction
+from hyperspec import _dedup, _split, linalg, reduction
 from hyperspec.cli import main
 from hyperspec.graphs import (
     complete_graph,
@@ -490,13 +490,13 @@ class TestSpectrumSet:
 
     def test_a_complex_array_is_clustered_without_a_copy(self, monkeypatch):
         seen = []
-        clusters = linalg._clusters
+        clusters = _dedup.clusters
 
         def recording(points, threshold):
             seen.append(points)
             return clusters(points, threshold)
 
-        monkeypatch.setattr(linalg, "_clusters", recording)
+        monkeypatch.setattr(_dedup, "clusters", recording)
         values = np.array([2.0, 1.0, 1.0 + 1e-12, 1j])
         s = SpectrumSet(values, dedup_tol=1e-8)
         assert seen[0] is values
@@ -645,6 +645,23 @@ class TestSpectrumSetAgainstReference:
         random.Random(len(values)).shuffle(values)
         assert_matches_reference(values, 1e-8, with_witnesses(values, attach))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(grid_points, noisy_points), max_size=40),
+        st.sampled_from([1 / 8, 1 / 4, 0.3]),
+    )
+    def test_clusters_and_their_order_match_the_reference(self, values, threshold):
+        # clusters in the order of their smallest index, members in (real,
+        # imag) order with equal values in input order
+        members, starts = _dedup.clusters(np.array(values, dtype=complex), threshold)
+        got = [group.tolist() for group in np.split(members, starts[1:])] if values else []
+        groups = reference_single_linkage(values, threshold)
+        want = sorted(
+            (sorted(g, key=lambda i: (values[i].real, values[i].imag, i)) for g in groups),
+            key=min,
+        )
+        assert got == want
+
     def test_second_round_merge(self):
         # the first two link; the third links only with their mean, a round later
         s = assert_matches_reference([0.0, 0.25j, 0.25 + 0.125j], 1 / 4, None)
@@ -695,7 +712,7 @@ def cell_edge_inputs(draw):
     # the grid's cell edges, each moved by up to one ulp
     dedup_tol = draw(st.sampled_from([1 / 8, 3 / 64, 1e-3, 1e-8, MIN_DEDUP_TOL]))
     threshold = 8 * dedup_tol
-    side = threshold * linalg._SIDE
+    side = threshold * _dedup._SIDE
 
     def coordinate(base, shift):
         kind = draw(st.sampled_from(["integer", "half", "edge"]))
@@ -711,8 +728,8 @@ def cell_edge_inputs(draw):
     count = draw(st.integers(0, 30))
     values = [
         complex(
-            coordinate(draw(st.integers(0, 3)), linalg._SHIFT[0]),
-            coordinate(draw(st.integers(-2, 2)), linalg._SHIFT[1]),
+            coordinate(draw(st.integers(0, 3)), _dedup._SHIFT[0]),
+            coordinate(draw(st.integers(-2, 2)), _dedup._SHIFT[1]),
         )
         for _ in range(count)
     ]
@@ -737,14 +754,14 @@ class TestGridAdversarial:
         # must not
         dedup_tol = 1e-3
         threshold = 8 * dedup_tol
-        side = threshold * linalg._SIDE
+        side = threshold * _dedup._SIDE
         low = complex(
-            nudge(cell_edge(base.real, side, linalg._SHIFT[0], j), 1),
-            nudge(cell_edge(base.imag, side, linalg._SHIFT[1], j), 1),
+            nudge(cell_edge(base.real, side, _dedup._SHIFT[0], j), 1),
+            nudge(cell_edge(base.imag, side, _dedup._SHIFT[1], j), 1),
         )
         high = complex(
-            nudge(cell_edge(base.real, side, linalg._SHIFT[0], j + 1), -1),
-            nudge(cell_edge(base.imag, side, linalg._SHIFT[1], j + 1), -1),
+            nudge(cell_edge(base.real, side, _dedup._SHIFT[0], j + 1), -1),
+            nudge(cell_edge(base.imag, side, _dedup._SHIFT[1], j + 1), -1),
         )
         past = low + threshold * (1 + 1e-9) * complex(1, 1) / math.sqrt(2)
         for pair, clusters in (([low, high], 1), ([low, past], 2)):
@@ -759,8 +776,8 @@ class TestGridAdversarial:
         # the threshold: y - x itself exceeds the threshold, and they link
         dedup_tol = 1 / 64
         threshold = 8 * dedup_tol
-        side = threshold * linalg._SIDE
-        shift = linalg._SHIFT[0] if axis == 1 else linalg._SHIFT[1]
+        side = threshold * _dedup._SIDE
+        shift = _dedup._SHIFT[0] if axis == 1 else _dedup._SHIFT[1]
         x = nudge(cell_edge(0.0, side, shift, j), -1)
         y = x + threshold
         while nudge(y, 1) - x <= threshold:
@@ -786,18 +803,18 @@ class TestGridAdversarial:
         # 4.0 is the largest modulus, so the threshold is exactly 4 * dedup_tol
         dedup_tol = 1e-8
         threshold = 4 * dedup_tol
-        side = threshold * linalg._SIDE
+        side = threshold * _dedup._SIDE
         corner = complex(
-            cell_edge(2.0, side, linalg._SHIFT[0], 0),
-            cell_edge(0.0, side, linalg._SHIFT[1], 0),
+            cell_edge(2.0, side, _dedup._SHIFT[0], 0),
+            cell_edge(0.0, side, _dedup._SHIFT[1], 0),
         )
         rng = np.random.default_rng(11)
         noise = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
         values = (corner + spread * side * noise).tolist() + [4.0 + 0j]
         cells = {
             (
-                math.floor(v.real / side + linalg._SHIFT[0]),
-                math.floor(v.imag / side + linalg._SHIFT[1]),
+                math.floor(v.real / side + _dedup._SHIFT[0]),
+                math.floor(v.imag / side + _dedup._SHIFT[1]),
             )
             for v in values[:-1]
         }
@@ -881,3 +898,23 @@ def test_unlinked_neighbouring_cells_dedup_in_bounded_memory():
         tracemalloc.stop()
     assert len(s) == 2
     assert peak < 2 * 2**20
+
+
+def test_spectrum_set_scratch_is_at_most_48_bytes_per_point():
+    # 200 000 eigenvalue-like points: copies of 1000 centres jittered far
+    # inside the threshold.  Scratch is what the dedup allocates beyond its
+    # input; about 42 bytes per point when measured
+    rng = np.random.default_rng(5)
+    centres = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    count = 200_000
+    noise = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    values = centres[rng.integers(0, 1000, count)] + 1e-11 * noise
+    SpectrumSet(values[:1000])
+    tracemalloc.start()
+    try:
+        s = SpectrumSet(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 1000
+    assert peak <= 48 * count

@@ -108,6 +108,27 @@ class TestReducedMatrix:
 
 
 class TestPhaseClasses:
+    @pytest.mark.parametrize(
+        "k, dtype", [(8, np.int8), (256, np.int8), (2**9, np.int16), (10**6, np.int32)]
+    )
+    def test_class_phases_are_narrow_and_build_the_same_bits(self, k, dtype):
+        # the first, middle and last classes of a path of the triangle, whose
+        # phases reach k/2 - 1, above 127 from k = 2**9
+        g, half = cycle_graph(3), k // 2
+        positions = [0, 1, half**2 // 2 + 7, half**2 - 2, half**2 - 1]
+        phases = reduction._class_phases(2, k, positions)
+        assert phases.dtype == dtype
+        assert phases.tolist() == [[p // half, p % half] for p in positions]
+        assert phases.max() == half - 1
+        index = np.array([(0, 1)])
+        for kind in ("adjacency", "laplacian", "signless"):
+            stack = reduction._phased_matrices(
+                g.degree_vector(), g.adjacency_matrix(), index, k, phases, kind
+            )
+            for m, row in zip(stack, phases.tolist()):
+                want = reduced_matrix(g, k, (0, 1), row, kind)
+                assert m.tobytes() == want.tobytes()
+
     def test_counts(self):
         assert len(list(phase_classes(1, 4))) == 2
         assert len(list(phase_classes(2, 4))) == 4
@@ -724,6 +745,22 @@ class TestPrunedAndStackedSolves:
         assert report.complete and report.budget_used == 568
         # about 0.8 MiB when measured, most of it the witnesses and the dedup
         assert peak < 1.5 * 2**20
+
+
+def test_c7_sixth_power_spectrum_memory_is_bounded():
+    # one copy of the 57 414 enumerated eigenvalues (0.88 MiB), their phases
+    # as int8 and bounded scratch in every stage: about 2.9 MiB when measured,
+    # set by the eigensolve of a stack
+    g = cycle_graph(7)
+    spectrum_power(g, 6)
+    tracemalloc.start()
+    try:
+        report = spectrum_power(g, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.values) == 2584 and report.budget_used == 9831
+    assert peak < 5 * 2**20
 
 
 def _planned(g, k):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -359,6 +360,8 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+# built on first use, not at import, then shared by every call of main
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperspec",

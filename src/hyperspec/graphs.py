@@ -202,6 +202,27 @@ def as_subset(members: Sequence[int], vertex_count: int) -> tuple[int, ...]:
     return subset
 
 
+def _grow(
+    adj: tuple[tuple[int, ...], ...],
+    max_size: int,
+    results: list[tuple[int, ...]],
+    sub: list[int],
+    ext: list[int],
+    nbhd: set[int],
+    root: int,
+) -> None:
+    """Append ``sub`` to ``results``, then grow it by each vertex of ``ext`` in
+    turn and by the fresh neighbours above ``root`` that each one brings."""
+    results.append(tuple(sorted(sub)))
+    if len(sub) >= max_size:
+        return
+    ext = list(ext)
+    while ext:
+        w = ext.pop(0)
+        fresh = [u for u in adj[w] if u > root and u not in nbhd]
+        _grow(adj, max_size, results, sub + [w], ext + fresh, nbhd | {w} | set(adj[w]), root)
+
+
 def connected_subsets(g: LoopedGraph, max_size: int) -> Iterator[tuple[int, ...]]:
     """Yield every vertex subset of size <= max_size inducing a connected subgraph.
 
@@ -213,20 +234,12 @@ def connected_subsets(g: LoopedGraph, max_size: int) -> Iterator[tuple[int, ...]
         return iter(())
     results: list[tuple[int, ...]] = []
     adj = g._adj
-
-    def grow(sub: list[int], ext: list[int], nbhd: set[int], root: int) -> None:
-        results.append(tuple(sorted(sub)))
-        if len(sub) >= max_size:
-            return
-        ext = list(ext)
-        while ext:
-            w = ext.pop(0)
-            fresh = [u for u in adj[w] if u > root and u not in nbhd]
-            grow(sub + [w], ext + fresh, nbhd | {w} | set(adj[w]), root)
-
+    # _grow is a module function, not a recursive closure: a closure that
+    # calls itself is a reference cycle, which would keep ``results`` alive
+    # until the cycle collector next runs
     for root in range(g.vertex_count):
         ext0 = [u for u in adj[root] if u > root]
-        grow([root], ext0, {root, *adj[root]}, root)
+        _grow(adj, max_size, results, [root], ext0, {root, *adj[root]}, root)
     results.sort()
     return iter(results)
 

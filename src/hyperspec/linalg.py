@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -301,7 +302,11 @@ class SpectrumSet:
     ``values`` holds one representative per cluster, sorted by (real, imag);
     representatives are pairwise separated by more than ``dedup_tol`` times
     the scale max(1, largest modulus).  ``witnesses[i]`` is the witness of the
-    earliest input contributing to ``values[i]`` (None when not supplied).
+    earliest input contributing to ``values[i]`` (None when not supplied),
+    built on first read from ``witness_table``: the witnesses of those
+    inputs in value order, as ``witnesses.take`` returns them for the int
+    array of their input indices when the supplied witnesses have a ``take``
+    (the reduction's do), else as a list; None when not supplied.
     ``dedup_tol`` must be at least ``MIN_DEDUP_TOL`` (2**-46), below which
     the grid cells of the clustering lose integer precision.
 
@@ -356,10 +361,19 @@ class SpectrumSet:
         if earliest is not None:
             order = earliest[order]
         self.values: tuple[complex, ...] = tuple(points.tolist())
-        self.witnesses: tuple[object, ...] = tuple(
-            None if witnesses is None else witnesses[i] for i in order.tolist()
-        )
+        if witnesses is None:
+            self.witness_table = None
+        elif hasattr(witnesses, "take"):
+            self.witness_table = witnesses.take(order)
+        else:
+            self.witness_table = [witnesses[i] for i in order.tolist()]
         self._scale = max(1.0, float(np.hypot(points.real, points.imag).max(initial=0.0)))
+
+    @cached_property
+    def witnesses(self) -> tuple[object, ...]:
+        if self.witness_table is None:
+            return (None,) * len(self.values)
+        return tuple(self.witness_table)
 
     def __len__(self) -> int:
         return len(self.values)

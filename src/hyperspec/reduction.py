@@ -10,7 +10,6 @@ spectra, spectral radii and largest H-eigenvalues with witnesses.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from collections.abc import Callable, Iterator, Sequence
 
@@ -30,10 +29,13 @@ from hyperspec.linalg import (
 )
 from hyperspec.witnesses import (
     KIND_LETTER,
+    Block,
     PhaseAssignment,
     ReductionWitness,
     RhoResult,
     SpectrumReport,
+    WitnessTable,
+    _Witnesses,
     normalize_kind,
 )
 
@@ -46,6 +48,7 @@ __all__ = [
     "ReductionWitness",
     "SpectrumReport",
     "RhoResult",
+    "WitnessTable",
     "reduced_matrix",
     "phase_classes",
     "spectrum_power",
@@ -179,9 +182,6 @@ def _plan_work(
 # matrix entries per eigensolver call; bounds the memory of one stack
 _STACK_ENTRIES = 1 << 16
 
-# a subset and its rows of phases, one row per matrix
-_Block = tuple[tuple[int, ...], np.ndarray]
-
 
 def _class_phases(size: int, k: int, positions: Sequence[int]) -> np.ndarray:
     """Phases of the classes at ``positions`` in ``phase_classes(size, k)``.
@@ -199,13 +199,13 @@ def _class_phases(size: int, k: int, positions: Sequence[int]) -> np.ndarray:
     return phases
 
 
-def _identity_blocks(subsets: Sequence[tuple[int, ...]]) -> list[_Block]:
+def _identity_blocks(subsets: Sequence[tuple[int, ...]]) -> list[Block]:
     """One all-zero phase row per subset: E = I, and the matrices stay real."""
     return [(subset, np.zeros((1, len(subset)), np.int64)) for subset in subsets]
 
 
 def _stacks(
-    blocks: Sequence[_Block], positions: list[int], rows: int
+    blocks: Sequence[Block], positions: list[int], rows: int
 ) -> list[list[tuple[int, int, int]]]:
     """The phase rows of the blocks at ``positions``, block after block, cut
     into stacks of at most ``rows`` rows; a stack lists the (position, lo,
@@ -227,7 +227,7 @@ def _solve_blocks(
     matrices: tuple[np.ndarray, np.ndarray],
     k: int,
     kind: str,
-    blocks: Sequence[_Block],
+    blocks: Sequence[Block],
     solve: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, list[int]]:
     """``solve`` of the reduced matrices of every block, in one flat array.
@@ -294,19 +294,16 @@ def _symmetric_values(stack: np.ndarray) -> np.ndarray:
     return eig_real_symmetric_stack(stack)[0]
 
 
-def _certify(
-    matrices: tuple[np.ndarray, np.ndarray],
-    k: int,
-    kind: str,
-    reported: dict[tuple[tuple[int, ...], tuple[int, ...]], Sequence[complex]],
-) -> None:
-    """Certify the reported eigenvalues of each (subset, phases) matrix.
+def _certify(matrices: tuple[np.ndarray, np.ndarray], table: WitnessTable) -> None:
+    """Certify every eigenvalue of ``table`` against its witness matrix.
 
-    The matrices, rebuilt by subset size in ``_solve_blocks``, are solved with
-    ``eig_complex_stack``, and each reported value must lie within 1e-9 of a
-    certified eigenvalue, relative to the matrix norm (they are the same bits
-    on current LAPACK builds).  A failure raises ConvergenceError naming the
-    subset and phases.
+    The witness matrices, rebuilt by subset size in ``_solve_blocks``, are
+    solved with ``eig_complex_stack``, and each value must lie within 1e-9 of
+    a certified eigenvalue of its matrix, relative to max(1, the matrix norm)
+    (they are the same bits on current LAPACK builds); the values of one
+    matrix size are checked in one gather.  A failure raises
+    ConvergenceError naming the subset and phases of the first failing
+    matrix in table order.
     """
 
     def certified(stack: np.ndarray) -> np.ndarray:
@@ -314,16 +311,23 @@ def _certify(
         norms = np.maximum(1.0, np.abs(stack).sum(axis=2).max(axis=1))
         return np.column_stack((eig_complex_stack(stack)[0], norms))
 
-    blocks = [(subset, np.array([phases])) for subset, phases in reported]
-    solved, ends = _solve_blocks(matrices, k, kind, blocks, certified)
-    for (key, values), start, end in zip(reported.items(), [0, *ends], ends):
-        row = solved[start:end]
-        gaps = np.abs(np.subtract.outer(values, row[:-1]))
-        if (gaps.min(axis=1) > BACKWARD_ERROR_TOL * row[-1].real).any():
-            raise ConvergenceError(
-                "a reported eigenvalue is not a certified eigenvalue at "
-                "subset {}, phases {}".format(*key)
-            )
+    solved, _ = _solve_blocks(matrices, table.k, table.kind, table.blocks, certified)
+    # each matrix's row of solved: its eigenvalues, then its norm
+    sizes = [len(subset) for subset, _ in table.blocks]
+    widths = np.repeat(sizes, [len(phases) for _, phases in table.blocks]) + 1
+    # where the row of each value's matrix starts, and its width
+    start, width = (np.cumsum(widths) - widths)[table.matrix], widths[table.matrix]
+    failed = np.zeros(len(table), bool)
+    for size in set(sizes):
+        at = np.flatnonzero(width == size + 1)
+        rows = solved[start[at, None] + np.arange(size + 1)]
+        gaps = np.abs(table.eigenvalues[at, None] - rows[:, :-1]).min(axis=1)
+        failed[at] = gaps > BACKWARD_ERROR_TOL * rows[:, -1].real
+    if failed.any():
+        raise ConvergenceError(
+            "a reported eigenvalue is not a certified eigenvalue at "
+            "subset {}, phases {}".format(*table.matrix_keys()[table.matrix[failed].min()])
+        )
 
 
 # the slack delta of the per-class bounds (||M^8|| + delta ||M||^8)^(1/8);
@@ -371,33 +375,6 @@ def _perron_bounds(
     return values[np.array(ends) - 1]
 
 
-class _Witnesses(Sequence):
-    """The witness of every enumerated eigenvalue, built only when read.
-
-    Indexes the flat eigenvalue array of the solved blocks, in plan order:
-    the values of ``blocks[i]`` end where ``ends[i]`` says, one row of |U|
-    values per phase row.  Dedup reads one witness per cluster.
-    """
-
-    def __init__(
-        self, k: int, kind: str, blocks: list[_Block], values: np.ndarray, ends: list[int]
-    ) -> None:
-        self._k, self._kind, self._blocks = k, kind, blocks
-        self._values, self._ends = values, ends
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, index: int) -> ReductionWitness:
-        if not 0 <= index < len(self):
-            raise IndexError("witness index out of range")
-        block = bisect.bisect_right(self._ends, index)
-        subset, phases = self._blocks[block]
-        row = (int(index) - self._ends[block] + phases.size) // len(subset)
-        assign = PhaseAssignment(self._k, tuple(phases[row].tolist()))
-        return ReductionWitness(subset, assign, self._kind, self._values.item(index))
-
-
 def _spectrum_report(
     g: LoopedGraph,
     k: int,
@@ -422,10 +399,7 @@ def _spectrum_report(
     witnesses = _Witnesses(k, kind, blocks, values, ends)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
     if not identity_only:
-        reported: dict = {}
-        for w in spectrum.witnesses:
-            reported.setdefault((w.subset, w.phase.phases), []).append(w.eigenvalue)
-        _certify(matrices, k, kind, reported)
+        _certify(matrices, spectrum.witness_table)
     return SpectrumReport(kind, k, spectrum, complete, used)
 
 
@@ -552,10 +526,10 @@ def rho_power(
     plan, complete, used = _plan_work(g, k, max_subset, budget)
     matrices = g.degree_vector(), g.adjacency_matrix()
     bounds = _perron_bounds(matrices, [subset for subset, _ in plan], kind)
-    solved: list[tuple[_Block, np.ndarray]] = []
+    solved: list[tuple[Block, np.ndarray]] = []
     top = threshold = -np.inf
 
-    def solve(block: _Block) -> None:
+    def solve(block: Block) -> None:
         nonlocal top, threshold
         values, _ = _solve_blocks(matrices, k, kind, [block], eigvals_complex_stack)
         values = values.reshape(len(block[1]), -1)
@@ -583,16 +557,21 @@ def rho_power(
             solve((subset, phases))
     # the threshold only rose, so the rows at or above its final value are
     # the tied rows of the unpruned enumeration
-    tied = {}
+    blocks, rows = [], []
     for (subset, phases), values in solved:
-        moduli = np.hypot(values.real, values.imag)
-        for i in np.flatnonzero(moduli.max(axis=1) >= threshold):
-            tied[subset, tuple(phases[i].tolist())] = values[i], moduli[i]
-    if not tied:
+        tied = np.hypot(values.real, values.imag).max(axis=1) >= threshold
+        if tied.any():
+            blocks.append((subset, phases[tied]))
+            rows.extend(values[tied])
+    if not rows:
         raise ValueError("reduction produced no matrices")
-    _certify(matrices, k, kind, {key: row for key, (row, _) in tied.items()})
-    subset, phases = min(tied, key=lambda key: (len(key[0]), key))
-    values, moduli = tied[subset, phases]
+    matrix = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    table = WitnessTable(k, kind, blocks, matrix, np.concatenate(rows))
+    _certify(matrices, table)
+    keys = table.matrix_keys()
+    j = min(range(len(keys)), key=lambda j: (len(keys[j][0]), keys[j]))
+    (subset, phases), values = keys[j], rows[j]
+    moduli = np.hypot(values.real, values.imag)
     row_top = float(moduli.max())
     near = moduli >= row_top - tie_tol * max(1.0, row_top)
     nonneg = near & (values.imag >= 0)

@@ -5,11 +5,19 @@ connected vertex subset, a phase assignment of k-th roots of unity and the
 matrix kind.  Spectra and spectral radii carry those witnesses together with
 the enumeration's completeness and budget.  ``hyperspec.reduction`` builds
 them and re-exports every name here.
+
+Dedup keeps one witness per reported value.  ``_Witnesses`` locates the
+matrix of every enumerated value in the solved blocks, and its ``take``
+gathers the kept ones into one ``WitnessTable`` of index arrays, which
+certification, the JSON output and ``SpectrumSet.witnesses`` all read.
+Witness objects are built only when ``witnesses`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from hyperspec.linalg import SpectrumSet
 
@@ -20,6 +28,7 @@ __all__ = [
     "ReductionWitness",
     "SpectrumReport",
     "RhoResult",
+    "WitnessTable",
 ]
 
 KIND_LETTER = {"adjacency": "A", "laplacian": "L", "signless": "Q"}
@@ -69,6 +78,107 @@ class ReductionWitness:
         }
 
 
+# a subset and its rows of phases, one row per matrix
+Block = tuple[tuple[int, ...], np.ndarray]
+
+
+class WitnessTable:
+    """The witnesses of a run of eigenvalues, as one index table.
+
+    ``blocks`` holds the witness matrices: a subset and its phase rows, one
+    row per matrix, block after block.  ``matrix[i]`` is the position among
+    those rows of the matrix of eigenvalue i, and ``eigenvalues[i]`` the
+    value.  Iterating yields one ReductionWitness per value, built then.
+    """
+
+    def __init__(
+        self, k: int, kind: str, blocks: list[Block], matrix: np.ndarray, eigenvalues: np.ndarray
+    ) -> None:
+        self.k, self.kind, self.blocks = k, kind, blocks
+        self.matrix, self.eigenvalues = matrix, eigenvalues
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def matrix_keys(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(subset, phases) of every witness matrix, in table order."""
+        return [(subset, tuple(row)) for subset, phases in self.blocks for row in phases.tolist()]
+
+    def _by_matrix(self, per_matrix: list) -> zip:
+        # (per_matrix[j], eigenvalue) for each value, j the position of its matrix
+        return zip(map(per_matrix.__getitem__, self.matrix.tolist()), self.eigenvalues.tolist())
+
+    def __iter__(self):
+        keys = self.matrix_keys()
+        assigns = [(subset, PhaseAssignment(self.k, phases)) for subset, phases in keys]
+        for (subset, assign), value in self._by_matrix(assigns):
+            yield ReductionWitness(subset, assign, self.kind, value)
+
+    def json_dicts(self) -> list[dict]:
+        """``[w.to_json_dict() for w in self]``, built straight from the table;
+        the dicts of one matrix's values share its subset and phases lists."""
+        k, letter = self.k, KIND_LETTER[self.kind]
+        lists = [(list(subset), list(phases)) for subset, phases in self.matrix_keys()]
+        return [
+            {
+                "subset": subset,
+                "k": k,
+                "phases": phases,
+                "kind": letter,
+                "eigenvalue": [value.real, value.imag],
+            }
+            for (subset, phases), value in self._by_matrix(lists)
+        ]
+
+
+class _Witnesses:
+    """The witness of every enumerated eigenvalue, as a table on request.
+
+    Indexes the flat eigenvalue array of the solved blocks, in plan order:
+    the values of ``blocks[i]`` end where ``ends[i]`` says, one row of |U|
+    values per phase row.
+    """
+
+    def __init__(
+        self, k: int, kind: str, blocks: list[Block], values: np.ndarray, ends: list[int]
+    ) -> None:
+        self._k, self._kind, self._blocks = k, kind, blocks
+        self._values, self._ends = values, ends
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        return iter(self.take(np.arange(len(self))))
+
+    def take(self, indices: np.ndarray) -> WitnessTable:
+        """The witnesses of the values at ``indices``, as one table.
+
+        One search of ``ends`` maps each index to its (block, row).  The
+        table keeps one block per block with a witness, holding only the
+        phase rows of its witness matrices, in plan order.
+        """
+        ends = np.array(self._ends)
+        sizes = np.array([len(subset) for subset, _ in self._blocks])
+        counts = np.array([len(phases) for _, phases in self._blocks])
+        block = np.searchsorted(ends, indices, side="right")
+        row = (indices - (ends - counts * sizes)[block]) // sizes[block]
+        # every phase row in plan order, marked where it witnesses a value
+        firsts = np.cumsum(counts) - counts
+        matrix = firsts[block] + row
+        marked = np.zeros(counts.sum(), bool)
+        marked[matrix] = True
+        used = np.zeros(len(counts), bool)
+        used[block] = True
+        blocks = []
+        for b in np.flatnonzero(used).tolist():
+            subset, phases = self._blocks[b]
+            rows = np.flatnonzero(marked[firsts[b] : firsts[b] + counts[b]])
+            blocks.append((subset, phases[rows]))
+        position = np.cumsum(marked) - 1
+        return WitnessTable(self._k, self._kind, blocks, position[matrix], self._values[indices])
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Deduplicated spectrum plus enumeration provenance."""
@@ -84,9 +194,13 @@ class SpectrumReport:
         return self.spectrum.values
 
     def to_json_dict(self) -> dict:
-        witnesses = []
-        for w in self.spectrum.witnesses:
-            witnesses.append(w.to_json_dict() if w is not None else None)
+        table = self.spectrum.witness_table
+        if isinstance(table, WitnessTable):
+            witnesses = table.json_dicts()
+        else:
+            witnesses = []
+            for w in self.spectrum.witnesses:
+                witnesses.append(w.to_json_dict() if w is not None else None)
         return {
             "kind": KIND_LETTER[self.kind],
             "k": self.k,

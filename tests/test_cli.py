@@ -308,6 +308,36 @@ class TestRecordedBytes:
         assert exc.value.code == 2
 
 
+class TestParserCache:
+    def test_one_cached_parser_serves_every_command(self, tmp_path, capsys, triangle_file):
+        spectrum, verify, certificate = (
+            _recorded_argv(command, tmp_path, triangle_file)
+            for command in ("spectrum", "verify", "certificate")
+        )
+        # spectrum takes no --moduli, so argparse exits with code 2
+        runs = [spectrum, spectrum + ["--moduli", "2"], verify, certificate]
+
+        def results(fresh):
+            got = []
+            for argv in runs:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                capsys.readouterr()
+                try:
+                    code = run_cli(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                got.append((code, *capsys.readouterr()))
+            return got
+
+        want = results(fresh=True)
+        cli._build_parser.cache_clear()
+        parser = cli._build_parser()
+        assert results(fresh=False) == want
+        assert cli._build_parser() is parser
+        assert [code for code, _, _ in want] == [0, 2, 0, 0]
+
+
 class TestJsonWriter:
     @pytest.mark.parametrize(
         "length",

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import random
@@ -747,6 +748,22 @@ class TestPrunedAndStackedSolves:
         assert peak < 1.5 * 2**20
 
 
+def test_the_enumeration_leaves_no_reference_cycles():
+    # cyclic garbage lives until the cycle collector runs, so it holds memory
+    # that reference counting would free at once
+    g = cycle_graph(5)
+    gc.collect()
+    gc.disable()
+    try:
+        list(connected_subsets(g, 5))
+        spectrum_power(g, 4)
+        h_spectrum_power(g, 4)
+        rho_power(g, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_c7_sixth_power_spectrum_memory_is_bounded():
     # one copy of the 57 414 enumerated eigenvalues (0.88 MiB), their phases
     # as int8 and bounded scratch in every stage: about 2.9 MiB when measured,
@@ -779,6 +796,15 @@ def _named_matrix(error):
     return tuple(ast.literal_eval(group) for group in found.groups())
 
 
+def _values_by_matrix(table):
+    """The eigenvalues of a witness table, by (subset, phases) of their matrix."""
+    keys = table.matrix_keys()
+    rows = {key: [] for key in keys}
+    for j, value in zip(table.matrix.tolist(), table.eigenvalues.tolist()):
+        rows[keys[j]].append(value)
+    return rows
+
+
 def _hex(values):
     return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
 
@@ -801,9 +827,39 @@ def _fail_in_stack(monkeypatch, solver, size, stack, row):
     return lengths
 
 
+class TestWitnessTable:
+    @pytest.mark.parametrize(
+        "compute, graph, k, kind, options",
+        [
+            (spectrum_power, cycle_graph(5), 8, "L", {}),
+            (spectrum_power, cycle_graph(5), 8, "Q", {}),
+            (spectrum_power, complete_graph(4), 8, "L", {}),
+            (h_spectrum_power, _petersen(), 4, "L", {"max_subset": 10}),
+        ],
+        ids=["C5-k8-L", "C5-k8-Q", "K4-k8-L", "Petersen-k4-H"],
+    )
+    def test_json_and_object_witnesses_agree(self, compute, graph, k, kind, options):
+        report = compute(graph, k, kind, **options)
+        table = report.spectrum.witness_table
+        witnesses = report.spectrum.witnesses
+        assert len(table) == len(witnesses) == len(report.values)
+        assert report.to_json_dict()["witnesses"] == [w.to_json_dict() for w in witnesses]
+        # one block per subset with a witness, holding its witness matrices once
+        keys = table.matrix_keys()
+        assert len(keys) == len(set(keys)) == len({(w.subset, w.phase.phases) for w in witnesses})
+        assert len(table.blocks) == len({subset for subset, _ in keys})
+        if compute is h_spectrum_power:
+            assert all(not any(w.phase.phases) for w in witnesses)
+
+    def test_a_spectrum_set_without_witnesses_gives_none_per_value(self):
+        s = SpectrumSet([2.0, 1.0, 1.0 + 1e-12])
+        assert s.witness_table is None
+        assert s.witnesses == (None, None)
+
+
 class TestFailedRowsAreNamed:
-    # the third stack of a size group of several subsets fails at its second
-    # row, so an error in the row offsets names another matrix
+    # a stack of a size group of several subsets fails at its second row, so
+    # an error in the row offsets names another matrix
 
     def test_a_failed_identity_solve_names_its_subset(self, monkeypatch):
         g = complete_graph(6)
@@ -821,20 +877,23 @@ class TestFailedRowsAreNamed:
         reported = []
         certify = reduction._certify
 
-        def recording(*args):
-            reported.append(list(args[-1]))
-            return certify(*args)
+        def recording(matrices, table):
+            reported.append(table.matrix_keys())
+            return certify(matrices, table)
 
         monkeypatch.setattr(reduction, "_certify", recording)
-        monkeypatch.setattr(reduction, "_STACK_ENTRIES", 40)
-        lengths = _fail_in_stack(monkeypatch, "eig_complex_stack", 3, 2, 1)
+        # five 3 x 3 matrices per stack; the witness matrices come in plan
+        # order, and the first subset of size 3 has 16, so the fourth stack
+        # is the first that spans two subsets
+        monkeypatch.setattr(reduction, "_STACK_ENTRIES", 50)
+        lengths = _fail_in_stack(monkeypatch, "eig_complex_stack", 3, 3, 1)
         with pytest.raises(ConvergenceError, match="^injected at ") as info:
             spectrum_power(g, k, "laplacian")
         (keys,) = reported
         group = [key for key in keys if len(key[0]) == 3]
-        assert lengths == [4, 4, 4]
-        assert len({subset for subset, _ in group[:12]}) > 1
-        assert _named_matrix(info.value) == group[9]
+        assert lengths == [5, 5, 5, 5]
+        assert len({subset for subset, _ in group[15:20]}) > 1
+        assert _named_matrix(info.value) == group[16]
 
 
 class TestCertifiedWitnesses:
@@ -852,15 +911,38 @@ class TestCertifiedWitnesses:
             hits = [p for p in pairs if _hex([p.value]) == _hex([w.eigenvalue])]
             assert hits and all(p.residual <= 1e-9 for p in hits)
 
+    def test_the_witness_matrices_are_certified_in_one_stack_per_size(self, monkeypatch):
+        g, k = cycle_graph(5), 8
+        stacks = []
+        solve = reduction.eig_complex_stack
+
+        def recording(ms):
+            stacks.append(ms.copy())
+            return solve(ms)
+
+        monkeypatch.setattr(reduction, "eig_complex_stack", recording)
+        report = spectrum_power(g, k, "laplacian")
+        keys = {(w.subset, w.phase.phases) for w in report.spectrum.witnesses}
+        sizes = [len(ms[0]) for ms in stacks]
+        assert len(keys) == sum(len(ms) for ms in stacks) == 204
+        assert sorted(sizes) == sorted(set(sizes)) == [1, 2, 3, 4, 5]
+
+        def content(m):
+            # +0.0 turns -0.0 into 0.0, so equal matrices give equal bytes
+            return (np.asarray(m, dtype=complex) + 0.0).tobytes()
+
+        solved = sorted(content(m) for ms in stacks for m in ms)
+        assert solved == sorted(content(reduced_matrix(g, k, *key)) for key in keys)
+
     def test_every_tied_rho_row_is_certified(self, monkeypatch):
         g, k, tie_tol = complete_graph(4), 6, 0.05
         certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
         reported = []
         certify = reduction._certify
 
-        def recording(*args):
-            reported.append(args[-1])
-            return certify(*args)
+        def recording(matrices, table):
+            reported.append(_values_by_matrix(table))
+            return certify(matrices, table)
 
         monkeypatch.setattr(reduction, "_certify", recording)
         result = rho_power(g, k, "laplacian", tie_tol=tie_tol)

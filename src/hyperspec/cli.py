@@ -5,7 +5,8 @@ Subcommands: ``power`` builds a blow-up hypergraph file, ``spectrum`` computes
 identities at chosen k, and ``certificate`` decides diagonal similarity of
 the Laplacian tensors and reports certificates at chosen moduli.  Exit
 codes: 0 success, 1 a verification check failed, 2 bad input, 3 budget
-exhausted (results are lower bounds).
+exhausted (results are lower bounds), 4 a solver missed its certificate or
+iteration budget.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hyperspec.gauge import certificate_report
 from hyperspec.graphs import LoopedGraph, parse_edge_list
 from hyperspec.hypergraphs import from_json_dict, generalized_power, to_canonical_json
 from hyperspec.linalg import (
+    ConvergenceError,
     eig_real_symmetric,
     power_iteration_nonneg,
     spectral_radius,
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_SOLVER = 4
 
 CHECKS = ("rho-equality", "shrinking-gap", "power-invariance")
 
@@ -423,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 def run() -> None:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -297,16 +296,12 @@ def check_dedup_tol(dedup_tol: float) -> None:
 
 
 class SpectrumSet:
-    """Deduplicated complex eigenvalues with tolerance clustering and witnesses.
+    """Deduplicated complex eigenvalues with tolerance clustering.
 
     ``values`` holds one representative per cluster, sorted by (real, imag);
     representatives are pairwise separated by more than ``dedup_tol`` times
-    the scale max(1, largest modulus).  ``witnesses[i]`` is the witness of the
-    earliest input contributing to ``values[i]`` (None when not supplied),
-    built on first read from ``witness_table``: the witnesses of those
-    inputs in value order, as ``witnesses.take`` returns them for the int
-    array of their input indices when the supplied witnesses have a ``take``
-    (the reduction's do), else as a list; None when not supplied.
+    the scale max(1, largest modulus).  ``sources[i]`` is the smallest input
+    index contributing to ``values[i]``, an int array in value order.
     ``dedup_tol`` must be at least ``MIN_DEDUP_TOL`` (2**-46), below which
     the grid cells of the clustering lose integer precision.
 
@@ -324,20 +319,13 @@ class SpectrumSet:
     clusters at once.
     """
 
-    def __init__(
-        self,
-        values: Iterable[complex],
-        dedup_tol: float = DEFAULT_DEDUP_TOL,
-        witnesses: Sequence[object] | None = None,
-    ):
+    def __init__(self, values: Iterable[complex], dedup_tol: float = DEFAULT_DEDUP_TOL):
         if not isinstance(values, np.ndarray):
             values = [complex(v) for v in values]
         # points is only read, so a complex array is used without a copy
         points = np.asarray(values, dtype=complex)
         if points.ndim != 1:
             raise ValueError("spectrum values must form a one-dimensional sequence")
-        if witnesses is not None and len(witnesses) != len(points):
-            raise ValueError("witnesses must pair one to one with values")
         check_dedup_tol(dedup_tol)
         if not np.all(np.isfinite(points)):
             raise ValueError("spectrum values must be finite")
@@ -358,22 +346,9 @@ class SpectrumSet:
 
         order = np.argsort(points, kind="stable")
         points = points[order]
-        if earliest is not None:
-            order = earliest[order]
         self.values: tuple[complex, ...] = tuple(points.tolist())
-        if witnesses is None:
-            self.witness_table = None
-        elif hasattr(witnesses, "take"):
-            self.witness_table = witnesses.take(order)
-        else:
-            self.witness_table = [witnesses[i] for i in order.tolist()]
+        self.sources = order if earliest is None else earliest[order]
         self._scale = max(1.0, float(np.hypot(points.real, points.imag).max(initial=0.0)))
-
-    @cached_property
-    def witnesses(self) -> tuple[object, ...]:
-        if self.witness_table is None:
-            return (None,) * len(self.values)
-        return tuple(self.witness_table)
 
     def __len__(self) -> int:
         return len(self.values)

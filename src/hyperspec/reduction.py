@@ -35,7 +35,7 @@ from hyperspec.witnesses import (
     RhoResult,
     SpectrumReport,
     WitnessTable,
-    _Witnesses,
+    _witness_table,
     normalize_kind,
 )
 
@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 STRICT_MARGIN = 1e-6
+# relative band of moduli that rho_power treats as tied with the top
+TIE_TOL = 1e-9
 DEFAULT_MAX_SUBSET = 8
 DEFAULT_BUDGET = 10**6
 
@@ -396,11 +398,11 @@ def _spectrum_report(
         blocks = [(s, _class_phases(len(s), k, range(quota))) for s, quota in plan]
         solve = eigvals_complex_stack
     values, ends = _solve_blocks(matrices, k, kind, blocks, solve)
-    witnesses = _Witnesses(k, kind, blocks, values, ends)
-    spectrum = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
+    spectrum = SpectrumSet(values, dedup_tol=dedup_tol)
+    witnesses = _witness_table(k, kind, blocks, values, ends, spectrum.sources)
     if not identity_only:
-        _certify(matrices, spectrum.witness_table)
-    return SpectrumReport(kind, k, spectrum, complete, used)
+        _certify(matrices, witnesses)
+    return SpectrumReport(kind, k, spectrum, witnesses, complete, used)
 
 
 def spectrum_power(
@@ -468,19 +470,18 @@ def rho_power(
     *,
     max_subset: int = DEFAULT_MAX_SUBSET,
     budget: int = DEFAULT_BUDGET,
-    tie_tol: float = 1e-9,
 ) -> RhoResult:
     """Spectral radius of the chosen tensor of the half blow-up of ``g``.
 
     The maximum eigenvalue modulus over the full reduction.  Ties within
-    ``tie_tol`` (relative, in [0, 1)) resolve to the lexicographically
-    smallest (|U|, U, phases) witness; among that matrix's top-modulus
-    eigenvalues the one with nonnegative imaginary part is preferred.
+    ``TIE_TOL`` (relative) resolve to the lexicographically smallest
+    (|U|, U, phases) witness; among that matrix's top-modulus eigenvalues
+    the one with nonnegative imaginary part is preferred.
     ``budget_used`` counts the planned matrices.
 
     Not every planned matrix is eigensolved.  A certified bound b on the
     computed eigenvalue moduli of a matrix prunes it when
-    b + 1e-8 max(1, b) lies below the tie threshold top - tie_tol max(1, top)
+    b + 1e-8 max(1, b) lies below the tie threshold top - TIE_TOL max(1, top)
     of the running maximum.  The threshold only rises, so a pruned matrix
     cannot reach the final one either; the maximum and the tied set (every
     row at or above the final threshold, with its witness the minimum of
@@ -521,8 +522,6 @@ def rho_power(
     A non-finite bound (overflow) prunes nothing in its subset.
     """
     kind = normalize_kind(kind)
-    if not 0 <= tie_tol < 1:
-        raise ValueError("tie_tol must lie in [0, 1)")
     plan, complete, used = _plan_work(g, k, max_subset, budget)
     matrices = g.degree_vector(), g.adjacency_matrix()
     bounds = _perron_bounds(matrices, [subset for subset, _ in plan], kind)
@@ -536,7 +535,7 @@ def rho_power(
         solved.append((block, values))
         # np.hypot rounds exactly like abs() on a Python complex
         top = max(top, float(np.hypot(values.real, values.imag).max()))
-        threshold = top - tie_tol * max(1.0, top)
+        threshold = top - TIE_TOL * max(1.0, top)
 
     for position in np.argsort(-bounds, kind="stable"):
         if _below(bounds[position], threshold):
@@ -573,7 +572,7 @@ def rho_power(
     (subset, phases), values = keys[j], rows[j]
     moduli = np.hypot(values.real, values.imag)
     row_top = float(moduli.max())
-    near = moduli >= row_top - tie_tol * max(1.0, row_top)
+    near = moduli >= row_top - TIE_TOL * max(1.0, row_top)
     nonneg = near & (values.imag >= 0)
     # rows are sorted by (real, imag): the first hit is the minimum
     j = np.flatnonzero(nonneg if nonneg.any() else near)[0]

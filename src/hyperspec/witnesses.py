@@ -6,11 +6,11 @@ matrix kind.  Spectra and spectral radii carry those witnesses together with
 the enumeration's completeness and budget.  ``hyperspec.reduction`` builds
 them and re-exports every name here.
 
-Dedup keeps one witness per reported value.  ``_Witnesses`` locates the
-matrix of every enumerated value in the solved blocks, and its ``take``
-gathers the kept ones into one ``WitnessTable`` of index arrays, which
-certification, the JSON output and ``SpectrumSet.witnesses`` all read.
-Witness objects are built only when ``witnesses`` is read.
+Dedup keeps one witness per reported value: ``SpectrumSet.sources`` names
+its input, and ``_witness_table`` gathers those inputs from the solved blocks
+into one ``WitnessTable`` of index arrays, which certification and the JSON
+output read as ``SpectrumReport.witnesses``.  Witness objects are built only
+when the table is iterated.
 """
 
 from __future__ import annotations
@@ -131,61 +131,46 @@ class WitnessTable:
         ]
 
 
-class _Witnesses:
-    """The witness of every enumerated eigenvalue, as a table on request.
+def _witness_table(
+    k: int, kind: str, blocks: list[Block], values: np.ndarray, ends: list[int], indices: np.ndarray
+) -> WitnessTable:
+    """The witnesses of the values at ``indices``, as one table.
 
-    Indexes the flat eigenvalue array of the solved blocks, in plan order:
-    the values of ``blocks[i]`` end where ``ends[i]`` says, one row of |U|
-    values per phase row.
+    ``values`` is the flat eigenvalue array of the solved ``blocks``, in plan
+    order: the values of ``blocks[i]`` end where ``ends[i]`` says, one row of
+    |U| values per phase row.  One search of ``ends`` maps each index to its
+    (block, row).  The table keeps one block per block with a witness,
+    holding only the phase rows of its witness matrices, in plan order.
     """
-
-    def __init__(
-        self, k: int, kind: str, blocks: list[Block], values: np.ndarray, ends: list[int]
-    ) -> None:
-        self._k, self._kind, self._blocks = k, kind, blocks
-        self._values, self._ends = values, ends
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self):
-        return iter(self.take(np.arange(len(self))))
-
-    def take(self, indices: np.ndarray) -> WitnessTable:
-        """The witnesses of the values at ``indices``, as one table.
-
-        One search of ``ends`` maps each index to its (block, row).  The
-        table keeps one block per block with a witness, holding only the
-        phase rows of its witness matrices, in plan order.
-        """
-        ends = np.array(self._ends)
-        sizes = np.array([len(subset) for subset, _ in self._blocks])
-        counts = np.array([len(phases) for _, phases in self._blocks])
-        block = np.searchsorted(ends, indices, side="right")
-        row = (indices - (ends - counts * sizes)[block]) // sizes[block]
-        # every phase row in plan order, marked where it witnesses a value
-        firsts = np.cumsum(counts) - counts
-        matrix = firsts[block] + row
-        marked = np.zeros(counts.sum(), bool)
-        marked[matrix] = True
-        used = np.zeros(len(counts), bool)
-        used[block] = True
-        blocks = []
-        for b in np.flatnonzero(used).tolist():
-            subset, phases = self._blocks[b]
-            rows = np.flatnonzero(marked[firsts[b] : firsts[b] + counts[b]])
-            blocks.append((subset, phases[rows]))
-        position = np.cumsum(marked) - 1
-        return WitnessTable(self._k, self._kind, blocks, position[matrix], self._values[indices])
+    ends = np.array(ends)
+    sizes = np.array([len(subset) for subset, _ in blocks])
+    counts = np.array([len(phases) for _, phases in blocks])
+    block = np.searchsorted(ends, indices, side="right")
+    row = (indices - (ends - counts * sizes)[block]) // sizes[block]
+    # every phase row in plan order, marked where it witnesses a value
+    firsts = np.cumsum(counts) - counts
+    matrix = firsts[block] + row
+    marked = np.zeros(counts.sum(), bool)
+    marked[matrix] = True
+    used = np.zeros(len(counts), bool)
+    used[block] = True
+    kept = []
+    for b in np.flatnonzero(used).tolist():
+        subset, phases = blocks[b]
+        rows = np.flatnonzero(marked[firsts[b] : firsts[b] + counts[b]])
+        kept.append((subset, phases[rows]))
+    position = np.cumsum(marked) - 1
+    return WitnessTable(k, kind, kept, position[matrix], values[indices])
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Deduplicated spectrum plus enumeration provenance."""
+    """Deduplicated spectrum, the witness of each value, and enumeration provenance."""
 
     kind: str
     k: int
     spectrum: SpectrumSet
+    witnesses: WitnessTable
     complete: bool
     budget_used: int
 
@@ -194,18 +179,11 @@ class SpectrumReport:
         return self.spectrum.values
 
     def to_json_dict(self) -> dict:
-        table = self.spectrum.witness_table
-        if isinstance(table, WitnessTable):
-            witnesses = table.json_dicts()
-        else:
-            witnesses = []
-            for w in self.spectrum.witnesses:
-                witnesses.append(w.to_json_dict() if w is not None else None)
         return {
             "kind": KIND_LETTER[self.kind],
             "k": self.k,
             "values": [[v.real, v.imag] for v in self.spectrum.values],
-            "witnesses": witnesses,
+            "witnesses": self.witnesses.json_dicts(),
             "complete": self.complete,
             "budget_used": self.budget_used,
         }

@@ -156,7 +156,7 @@ def test_criterion_06_lifted_eigenvectors_are_certified():
         h, _ = generalized_power(C3, k, k // 2)
         op = TensorOperator(h, "laplacian")
         spec = spectrum_power(C3, k, "laplacian")
-        for witness in spec.spectrum.witnesses:
+        for witness in spec.witnesses:
             m = reduced_matrix(C3, k, witness.subset, witness.phase.phases, "laplacian")
             best = min(
                 eig_complex_pairs(m), key=lambda p: abs(p.value - witness.eigenvalue)

@@ -19,6 +19,7 @@ from hyperspec.graphs import (
     path_graph,
 )
 from hyperspec.hypergraphs import from_json_dict
+from hyperspec.linalg import ConvergenceError
 
 
 @pytest.fixture
@@ -584,6 +585,20 @@ class TestVerifyCommand:
             ]
         )
         assert code == 1
+
+    def test_a_solver_failure_exits_four(self, triangle_file, tmp_path, capsys, monkeypatch):
+        # the exhausted budget that a long path meets, without its run time
+        def exhausted(m):
+            raise ConvergenceError("power iteration budget 100000 exhausted")
+
+        monkeypatch.setattr(cli, "power_iteration_nonneg", exhausted)
+        out = tmp_path / "pi.json"
+        argv = ["verify", "--input", triangle_file, "--check", "power-invariance"]
+        code = run_cli(argv + ["--k", "4", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == "error: power iteration budget 100000 exhausted\n"
+        assert not out.exists()
 
     def test_power_invariance(self, triangle_file, tmp_path):
         out = tmp_path / "pi.json"

@@ -478,15 +478,10 @@ class TestSpectrumSet:
         for v in values:
             assert min(abs(v - w) for w in s.values) <= 1e-2 * 60
 
-    def test_witness_keeps_first_contributor(self):
-        s = SpectrumSet(
-            [2.0, 1.0, 1.0 + 1e-12],
-            dedup_tol=1e-8,
-            witnesses=["a", "b", "c"],
-        )
+    def test_source_is_the_first_contributor(self):
+        s = SpectrumSet([2.0, 1.0, 1.0 + 1e-12], dedup_tol=1e-8)
         assert s.values[0] == pytest.approx(1.0)
-        assert s.witnesses[0] == "b"
-        assert s.witnesses[1] == "a"
+        assert s.sources.tolist() == [1, 0]
 
     def test_a_complex_array_is_clustered_without_a_copy(self, monkeypatch):
         seen = []
@@ -551,40 +546,38 @@ def reference_single_linkage(values, threshold):
     return list(groups.values())
 
 
-def reference_dedup(values, dedup_tol=1e-8, witnesses=None):
-    """Oracle: SpectrumSet's merge rounds over the reference linkage."""
+def reference_dedup(values, dedup_tol=1e-8):
+    """Oracle: SpectrumSet's merge rounds over the reference linkage; the
+    values, and the smallest input index merged into each."""
     raw = [complex(v) for v in values]
     scale = max(1.0, max((abs(v) for v in raw), default=0.0))
     threshold = dedup_tol * scale
     vals = raw
-    wits = list(witnesses) if witnesses is not None else [None] * len(raw)
     prio = list(range(len(raw)))
     while True:
         clusters = reference_single_linkage(vals, threshold)
         if len(clusters) == len(vals):
             break
-        merged_vals, merged_wits, merged_prio = [], [], []
+        merged_vals, merged_prio = [], []
         for group in clusters:
             group_sorted = sorted(group, key=lambda i: (vals[i].real, vals[i].imag))
             rep = sum(vals[i] for i in group_sorted) / len(group_sorted)
             lead = min(group, key=lambda i: prio[i])
             merged_vals.append(rep)
-            merged_wits.append(wits[lead])
             merged_prio.append(prio[lead])
-        vals, wits, prio = merged_vals, merged_wits, merged_prio
+        vals, prio = merged_vals, merged_prio
     order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
-    return tuple(vals[i] for i in order), tuple(wits[i] for i in order)
+    return tuple(vals[i] for i in order), [prio[i] for i in order]
 
 
-def assert_matches_reference(values, dedup_tol, witnesses):
-    s = SpectrumSet(values, dedup_tol=dedup_tol, witnesses=witnesses)
-    want_values, want_witnesses = reference_dedup(values, dedup_tol, witnesses)
+def assert_matches_reference(values, dedup_tol):
+    s = SpectrumSet(values, dedup_tol=dedup_tol)
+    want_values, want_sources = reference_dedup(values, dedup_tol)
     # float.hex tells -0.0 from 0.0, so equal bits, not just equal values
     assert [(v.real.hex(), v.imag.hex()) for v in s.values] == [
         (v.real.hex(), v.imag.hex()) for v in want_values
     ]
-    assert len(s.witnesses) == len(want_witnesses)
-    assert all(a is b for a, b in zip(s.witnesses, want_witnesses))
+    assert s.sources.tolist() == want_sources
     return s
 
 
@@ -600,30 +593,24 @@ noisy_points = st.builds(
 )
 
 
-def with_witnesses(values, attach):
-    return [object() for _ in values] if attach else None
-
-
 class TestSpectrumSetAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(grid_points, max_size=30),
         st.sampled_from([1 / 8, 3 / 16, 1 / 4, 3 / 8]),
-        st.booleans(),
     )
-    @example([0.0, 0.25j, 0.25 + 0.125j], 1 / 4, True)  # links only in round 2
-    @example([0.5, 0.5, 0.5 + 0.25j, 0.75 + 0.25j], 1 / 4, False)
-    def test_grid_values(self, values, dedup_tol, attach):
-        assert_matches_reference(values, dedup_tol, with_witnesses(values, attach))
+    @example([0.0, 0.25j, 0.25 + 0.125j], 1 / 4)  # links only in round 2
+    @example([0.5, 0.5, 0.5 + 0.25j, 0.75 + 0.25j], 1 / 4)
+    def test_grid_values(self, values, dedup_tol):
+        assert_matches_reference(values, dedup_tol)
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(noisy_points, max_size=40),
         st.sampled_from([1e-8, 1e-3, 0.05, 0.3]),
-        st.booleans(),
     )
-    def test_noisy_values(self, values, dedup_tol, attach):
-        assert_matches_reference(values, dedup_tol, with_witnesses(values, attach))
+    def test_noisy_values(self, values, dedup_tol):
+        assert_matches_reference(values, dedup_tol)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -631,9 +618,8 @@ class TestSpectrumSetAgainstReference:
             st.tuples(noisy_points, st.integers(1, 6), st.integers(0, 2**32 - 1)),
             max_size=8,
         ),
-        st.booleans(),
     )
-    def test_tight_clusters(self, centres, attach):
+    def test_tight_clusters(self, centres):
         # eigenvalue-like input: copies of a few centres jittered near 1e-15
         values = []
         for centre, copies, seed in centres:
@@ -643,7 +629,7 @@ class TestSpectrumSetAgainstReference:
                 for _ in range(copies)
             ]
         random.Random(len(values)).shuffle(values)
-        assert_matches_reference(values, 1e-8, with_witnesses(values, attach))
+        assert_matches_reference(values, 1e-8)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -664,12 +650,12 @@ class TestSpectrumSetAgainstReference:
 
     def test_second_round_merge(self):
         # the first two link; the third links only with their mean, a round later
-        s = assert_matches_reference([0.0, 0.25j, 0.25 + 0.125j], 1 / 4, None)
+        s = assert_matches_reference([0.0, 0.25j, 0.25 + 0.125j], 1 / 4)
         assert len(s) == 1
 
     def test_empty_input(self):
-        s = assert_matches_reference([], 1e-8, [])
-        assert s.values == () and s.witnesses == ()
+        s = assert_matches_reference([], 1e-8)
+        assert s.values == () and s.sources.tolist() == []
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -679,18 +665,20 @@ class TestSpectrumSetAgainstReference:
         captured = {}
 
         class Capture(SpectrumSet):
-            def __init__(self, values, dedup_tol, witnesses):
+            def __init__(self, values, dedup_tol):
                 captured["values"] = [complex(v) for v in values]
-                captured["witnesses"] = list(witnesses)
-                super().__init__(values, dedup_tol=dedup_tol, witnesses=witnesses)
+                super().__init__(values, dedup_tol=dedup_tol)
 
         monkeypatch.setattr(reduction, "SpectrumSet", Capture)
         report = reduction.spectrum_power(cycle_graph(7), 6, "L")
-        values, witnesses = captured["values"], captured["witnesses"]
+        values = captured["values"]
         assert len(values) == 57414
-        s = assert_matches_reference(values, reduction.DEDUP_TOL, witnesses)
+        s = assert_matches_reference(values, reduction.DEDUP_TOL)
         assert len(s) == len(report.values) == 2584
-        assert report.spectrum.witnesses == s.witnesses
+        sources = s.sources.tolist()
+        assert report.spectrum.sources.tolist() == sources
+        # each witness carries the input value its source names
+        assert report.witnesses.eigenvalues.tolist() == [values[i] for i in sources]
 
 
 def nudge(x, ulps):
@@ -741,10 +729,10 @@ class TestGridAdversarial:
     """Inputs placed against the cells of the clustering grid."""
 
     @settings(max_examples=300, deadline=None)
-    @given(cell_edge_inputs(), st.booleans())
-    def test_cell_edges(self, case, attach):
+    @given(cell_edge_inputs())
+    def test_cell_edges(self, case):
         values, dedup_tol = case
-        assert_matches_reference(values, dedup_tol, with_witnesses(values, attach))
+        assert_matches_reference(values, dedup_tol)
 
     @pytest.mark.parametrize("j", [-3, 0, 1, 5])
     @pytest.mark.parametrize("base", [0, 1 + 1j, 3 - 2j])
@@ -766,7 +754,7 @@ class TestGridAdversarial:
         past = low + threshold * (1 + 1e-9) * complex(1, 1) / math.sqrt(2)
         for pair, clusters in (([low, high], 1), ([low, past], 2)):
             values = pair + [8.0 + 0j]
-            s = assert_matches_reference(values, dedup_tol, with_witnesses(values, True))
+            s = assert_matches_reference(values, dedup_tol)
             assert len(s) == clusters + 1
 
     @pytest.mark.parametrize("j", [-2, -1, 0, 1])
@@ -783,7 +771,7 @@ class TestGridAdversarial:
         while nudge(y, 1) - x <= threshold:
             y = nudge(y, 1)
         values = [x * axis, y * axis, 8.0 + 0j]
-        s = assert_matches_reference(values, dedup_tol, None)
+        s = assert_matches_reference(values, dedup_tol)
         assert len(s) == 2
 
     @pytest.mark.parametrize("angle", [0.0, math.pi / 2, math.pi / 4, 0.52, 2.9])
@@ -794,7 +782,7 @@ class TestGridAdversarial:
         dedup_tol = 1e-3
         step = dedup_tol * stretch * complex(math.cos(angle), math.sin(angle))
         values = [0.1 - 0.1j + i * step for i in range(200)]
-        s = assert_matches_reference(values, dedup_tol, with_witnesses(values, True))
+        s = assert_matches_reference(values, dedup_tol)
         assert len(s) == clusters
 
     @pytest.mark.parametrize("spread", [0.2, 1.0])
@@ -819,7 +807,7 @@ class TestGridAdversarial:
             for v in values[:-1]
         }
         assert len(cells) >= 4
-        assert_matches_reference(values, dedup_tol, with_witnesses(values, False))
+        assert_matches_reference(values, dedup_tol)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -834,9 +822,8 @@ class TestGridAdversarial:
         ),
         st.sampled_from([1e-8, 1e-12, MIN_DEDUP_TOL]),
         st.sampled_from([0.3, 1.0, 3.0]),
-        st.booleans(),
     )
-    def test_magnitudes_near_a_million(self, centres, dedup_tol, jitter, attach):
+    def test_magnitudes_near_a_million(self, centres, dedup_tol, jitter):
         # copies of centres of modulus about 1e6, jittered on the scale of
         # the threshold (about 1e6 * dedup_tol), so links are borderline
         values = []
@@ -849,13 +836,13 @@ class TestGridAdversarial:
                 for _ in range(copies)
             ]
         random.Random(len(values)).shuffle(values)
-        assert_matches_reference(values, dedup_tol, with_witnesses(values, attach))
+        assert_matches_reference(values, dedup_tol)
 
     def test_smallest_tolerance_ulp_neighbours(self):
         # at MIN_DEDUP_TOL the threshold is a few hundred ulps of the values
         values = [nudge(1.0, i) + 0j for i in range(0, 600, 7)]
         values += [complex(-3.0, nudge(1.5, i)) for i in range(0, 2000, 13)]
-        assert_matches_reference(values, MIN_DEDUP_TOL, with_witnesses(values, True))
+        assert_matches_reference(values, MIN_DEDUP_TOL)
 
     @pytest.mark.parametrize(
         "dedup_tol", [float(np.nextafter(MIN_DEDUP_TOL, 0)), 1e-15, -1.0, math.nan]

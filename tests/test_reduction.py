@@ -1,10 +1,12 @@
 import ast
 import gc
+import inspect
 import json
 import math
 import random
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,10 +30,10 @@ from hyperspec.linalg import (
     spectral_radius,
 )
 from hyperspec.reduction import (
+    KIND_LETTER,
     PhaseAssignment,
     ReductionWitness,
     RhoResult,
-    SpectrumReport,
     h_spectrum_power,
     lambda_max_laplacian,
     normalize_kind,
@@ -179,7 +181,7 @@ class TestSpectrumPower:
 
     def test_witness_eigenvalue_in_reduced_spectrum(self):
         report = spectrum_power(cycle_graph(3), 4, "laplacian")
-        for value, witness in zip(report.values, report.spectrum.witnesses):
+        for value, witness in zip(report.values, report.witnesses):
             m = reduced_matrix(
                 cycle_graph(3), 4, witness.subset, witness.phase.phases, witness.kind
             )
@@ -396,7 +398,7 @@ class TestLiftConsistency:
         report = spectrum_power(g, k, "laplacian")
         h, _ = generalized_power(g, k, 2)
         op = TensorOperator(h, "laplacian")
-        for value, witness in zip(report.values, report.spectrum.witnesses):
+        for value, witness in zip(report.values, report.witnesses):
             m = reduced_matrix(g, k, witness.subset, witness.phase.phases, "laplacian")
             pairs = eig_complex_pairs(m)
             best = min(pairs, key=lambda p: abs(p.value - witness.eigenvalue))
@@ -489,17 +491,27 @@ def _one_matrix_at_a_time(g, k, kind, max_subset=8, budget=10**6, tie_tol=1e-9):
             pick = min([v for v in near if v.imag >= 0] or near, key=lambda v: (v.real, v.imag))
             entries.append((top, ReductionWitness(subset, assign, kind, pick)))
     used = len(entries)
-    spectrum = SpectrumReport(
-        kind, k, SpectrumSet(values, witnesses=witnesses), complete, used
-    )
-    h_spectrum = SpectrumReport(
-        kind, k, SpectrumSet(h_values, witnesses=h_witnesses), h_complete, h_used
-    )
+    spectrum = _spectrum_payload(kind, k, values, witnesses, complete, used)
+    h_spectrum = _spectrum_payload(kind, k, h_values, h_witnesses, h_complete, h_used)
     top = max(t for t, _ in entries)
     tied = [w for t, w in entries if t >= top - tie_tol * max(1.0, top)]
     witness = min(tied, key=lambda w: (len(w.subset), w.subset, w.phase.phases))
     rho = RhoResult(top, witness, complete, used)
-    return spectrum.to_json_dict(), h_spectrum.to_json_dict(), rho.to_json_dict()
+    return spectrum, h_spectrum, rho.to_json_dict()
+
+
+def _spectrum_payload(kind, k, values, witnesses, complete, used):
+    """The JSON of a spectrum report, written out from its dedup's sources
+    and the one-value witnesses, not through SpectrumReport."""
+    s = SpectrumSet(values)
+    return {
+        "kind": KIND_LETTER[kind],
+        "k": k,
+        "values": [[v.real, v.imag] for v in s.values],
+        "witnesses": [witnesses[i].to_json_dict() for i in s.sources.tolist()],
+        "complete": complete,
+        "budget_used": used,
+    }
 
 
 def _canonical(payload):
@@ -614,7 +626,8 @@ class TestPrunedAndStackedSolves:
         # budgets truncate last subsets, and some stacks hold class 0 alone
         got = spectrum_power(g, k, kind, **options).to_json_dict()
         got_h = h_spectrum_power(g, k, kind, **options).to_json_dict()
-        got_rho = rho_power(g, k, kind, **options, tie_tol=tie_tol).to_json_dict()
+        with patch.object(reduction, "TIE_TOL", tie_tol):
+            got_rho = rho_power(g, k, kind, **options).to_json_dict()
         assert _canonical(got) == _canonical(spectrum)
         assert _canonical(got_h) == _canonical(h_spectrum)
         assert _canonical(got_rho) == _canonical(rho)
@@ -666,7 +679,8 @@ class TestPrunedAndStackedSolves:
 
     def test_rho_stacks_split_at_the_entry_cap(self, monkeypatch):
         g = complete_graph(5)
-        whole = rho_power(g, 6, "laplacian", tie_tol=0.05).to_json_dict()
+        monkeypatch.setattr(reduction, "TIE_TOL", 0.05)
+        whole = rho_power(g, 6, "laplacian").to_json_dict()
         shapes = []
         build = reduction._phased_matrices
 
@@ -677,7 +691,7 @@ class TestPrunedAndStackedSolves:
 
         monkeypatch.setattr(reduction, "_STACK_ENTRIES", 100)
         monkeypatch.setattr(reduction, "_phased_matrices", recording)
-        chunked = rho_power(g, 6, "laplacian", tie_tol=0.05).to_json_dict()
+        chunked = rho_power(g, 6, "laplacian").to_json_dict()
         assert _canonical(chunked) == _canonical(whole)
         assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
         assert any(n > 1 for n, _, _ in shapes) and len(shapes) > 100
@@ -712,11 +726,6 @@ class TestPrunedAndStackedSolves:
         # 21 connected subsets in five sizes; each size fits in one stack
         assert len(list(connected_subsets(g, 5))) == 21
         assert len(rows) == 5 and sum(rows) == report.budget_used == 2724
-
-    def test_tie_tolerance_outside_the_unit_interval_is_rejected(self):
-        for tie_tol in (-1e-9, 1.0, 2.0):
-            with pytest.raises(ValueError):
-                rho_power(cycle_graph(3), 4, "laplacian", tie_tol=tie_tol)
 
     def test_identity_stacks_split_at_the_entry_cap(self, monkeypatch):
         g = _petersen()
@@ -840,8 +849,8 @@ class TestWitnessTable:
     )
     def test_json_and_object_witnesses_agree(self, compute, graph, k, kind, options):
         report = compute(graph, k, kind, **options)
-        table = report.spectrum.witness_table
-        witnesses = report.spectrum.witnesses
+        table = report.witnesses
+        witnesses = list(table)
         assert len(table) == len(witnesses) == len(report.values)
         assert report.to_json_dict()["witnesses"] == [w.to_json_dict() for w in witnesses]
         # one block per subset with a witness, holding its witness matrices once
@@ -851,10 +860,10 @@ class TestWitnessTable:
         if compute is h_spectrum_power:
             assert all(not any(w.phase.phases) for w in witnesses)
 
-    def test_a_spectrum_set_without_witnesses_gives_none_per_value(self):
-        s = SpectrumSet([2.0, 1.0, 1.0 + 1e-12])
-        assert s.witness_table is None
-        assert s.witnesses == (None, None)
+    def test_a_spectrum_set_carries_no_witnesses(self):
+        # the report holds the witnesses; the dedup only names its sources
+        assert list(inspect.signature(SpectrumSet).parameters) == ["values", "dedup_tol"]
+        assert not hasattr(SpectrumSet([2.0, 1.0]), "witnesses")
 
 
 class TestFailedRowsAreNamed:
@@ -902,7 +911,7 @@ class TestCertifiedWitnesses:
         solved = _count_solved_rows(monkeypatch)
         certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
         report = spectrum_power(g, k, "laplacian")
-        witnesses = report.spectrum.witnesses
+        witnesses = list(report.witnesses)
         matrices = {(w.subset, w.phase.phases) for w in witnesses}
         assert sum(solved) == report.budget_used == 2724
         assert sum(certified) == len(matrices) == 204
@@ -922,7 +931,7 @@ class TestCertifiedWitnesses:
 
         monkeypatch.setattr(reduction, "eig_complex_stack", recording)
         report = spectrum_power(g, k, "laplacian")
-        keys = {(w.subset, w.phase.phases) for w in report.spectrum.witnesses}
+        keys = {(w.subset, w.phase.phases) for w in report.witnesses}
         sizes = [len(ms[0]) for ms in stacks]
         assert len(keys) == sum(len(ms) for ms in stacks) == 204
         assert sorted(sizes) == sorted(set(sizes)) == [1, 2, 3, 4, 5]
@@ -936,6 +945,7 @@ class TestCertifiedWitnesses:
 
     def test_every_tied_rho_row_is_certified(self, monkeypatch):
         g, k, tie_tol = complete_graph(4), 6, 0.05
+        monkeypatch.setattr(reduction, "TIE_TOL", tie_tol)
         certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
         reported = []
         certify = reduction._certify
@@ -945,7 +955,7 @@ class TestCertifiedWitnesses:
             return certify(matrices, table)
 
         monkeypatch.setattr(reduction, "_certify", recording)
-        result = rho_power(g, k, "laplacian", tie_tol=tie_tol)
+        result = rho_power(g, k, "laplacian")
         # tied: every planned matrix whose top modulus reaches the final threshold
         threshold = result.value - tie_tol * max(1.0, result.value)
         tied = {}
@@ -979,7 +989,7 @@ class TestCertifiedWitnesses:
             report = spectrum_power(g, k, "laplacian")
         # the moved value is emitted on its own, witnessed by its matrix
         moved = eig_complex_pairs(matrix)[0].value + 1e-6
-        w = report.spectrum.witnesses[report.values.index(moved)]
+        w = list(report.witnesses)[report.values.index(moved)]
         assert (w.subset, w.phase.phases, w.eigenvalue) == (subset, phases, moved)
         with pytest.raises(ConvergenceError, match="not a certified eigenvalue") as info:
             spectrum_power(g, k, "laplacian")

@@ -80,7 +80,7 @@ def _pairs(
 
 
 def eig_real_symmetric_stack(
-    ms: np.ndarray,
+    ms: np.ndarray, cap: int | None = SYMMETRIC_CAP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified eigenpairs of a stack of real symmetric matrices.
 
@@ -88,7 +88,8 @@ def eig_real_symmetric_stack(
     (N, n): each row of values ascending, column j of ``vectors[i]`` the
     max-norm-1 eigenvector of ``values[i, j]``, and its residual relative to
     the matrix norm.  Raises ValueError for a matrix that is not symmetric
-    within 1e-12 or a dimension above ``SYMMETRIC_CAP`` (256), and
+    within 1e-12 or a dimension above ``cap`` (``SYMMETRIC_CAP`` = 256, sized
+    for stacks of reduced matrices; None for no cap), and
     ConvergenceError if a residual misses the 1e-10 certificate; its
     ``index`` is the position of the matrix in the stack.
     """
@@ -96,8 +97,8 @@ def eig_real_symmetric_stack(
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError("expected square matrices")
     n = ms.shape[1]
-    if n > SYMMETRIC_CAP:
-        raise ValueError(f"matrix dimension {n} exceeds cap {SYMMETRIC_CAP}")
+    if cap is not None and n > cap:
+        raise ValueError(f"matrix dimension {n} exceeds cap {cap}")
     if n == 0:
         return np.zeros((len(ms), 0)), np.zeros(ms.shape), np.zeros((len(ms), 0))
     scale = np.maximum(1.0, np.max(np.sum(np.abs(ms), axis=2), axis=1))
@@ -125,14 +126,15 @@ def eig_real_symmetric_stack(
 def eig_real_symmetric(m: np.ndarray) -> list[EigenPair]:
     """All eigenpairs of a real symmetric matrix, ascending by eigenvalue.
 
-    The one-matrix case of :func:`eig_real_symmetric_stack`: ValueError for
-    non-symmetric input or dimension above ``SYMMETRIC_CAP``, ConvergenceError
-    if any residual misses the 1e-10 certificate.
+    The one-matrix case of :func:`eig_real_symmetric_stack`, with no
+    dimension cap, for base-graph matrices of any size: ValueError for
+    non-symmetric input, ConvergenceError if any residual misses the 1e-10
+    certificate.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    return _pairs(eig_real_symmetric_stack(m[None]), float)
+    return _pairs(eig_real_symmetric_stack(m[None], cap=None), float)
 
 
 def _complex_stack(ms: np.ndarray) -> np.ndarray:

@@ -231,6 +231,7 @@ def _solve_blocks(
     kind: str,
     blocks: Sequence[Block],
     solve: Callable[[np.ndarray], np.ndarray],
+    build: Callable[..., np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[int]]:
     """``solve`` of the reduced matrices of every block, in one flat array.
 
@@ -238,9 +239,10 @@ def _solve_blocks(
     matrices to one result row per matrix, of a width fixed by their size.
     Returns ``(values, ends)``: the results of block i, row after row, end
     at ``values[ends[i] - 1]`` and start where those of block i - 1 end.
-    Blocks of one subset size share stacks: their rows go to
-    ``_phased_matrices`` in block order, at most ``_STACK_ENTRIES`` matrix
-    entries per stack, gathered from the blocks that a stack spans; a stack
+    Blocks of one subset size share stacks: their rows go to ``build``
+    (``_phased_matrices`` unless given; ``_charpoly.residues`` builds the
+    images mod p) in block order, at most ``_STACK_ENTRIES`` matrix entries
+    per stack, gathered from the blocks that a stack spans; a stack
     within one block passes its one-row subset on whole.  The first stack of
     every size is solved first, which sets the widths and so the layout of
     ``values``; every other stack is written there as soon as it is solved,
@@ -261,7 +263,7 @@ def _solve_blocks(
             phases = np.concatenate(phases)
             index = np.repeat(index, [hi - lo for _, lo, hi in stack], axis=0)
         try:
-            return solve(_phased_matrices(*matrices, index, k, phases, kind))
+            return solve((build or _phased_matrices)(*matrices, index, k, phases, kind))
         except ConvergenceError as exc:
             row = exc.index or 0
             subset = tuple(index[row if len(index) > 1 else 0].tolist())
@@ -299,13 +301,16 @@ def _symmetric_values(stack: np.ndarray) -> np.ndarray:
 def _certify(matrices: tuple[np.ndarray, np.ndarray], table: WitnessTable) -> None:
     """Certify every eigenvalue of ``table`` against its witness matrix.
 
-    The witness matrices, rebuilt by subset size in ``_solve_blocks``, are
-    solved with ``eig_complex_stack``, and each value must lie within 1e-9 of
-    a certified eigenvalue of its matrix, relative to max(1, the matrix norm)
-    (they are the same bits on current LAPACK builds); the values of one
-    matrix size are checked in one gather.  A failure raises
-    ConvergenceError naming the subset and phases of the first failing
-    matrix in table order.
+    The table holds computed values before their groups are merged: every
+    value of a spectrum's chi class representatives, or of rho_power's tied
+    rows.  So each reported value is a certified value or the mean of a
+    group of them.  The witness matrices, rebuilt by subset size in
+    ``_solve_blocks``, are solved with ``eig_complex_stack``, and each value
+    must lie within 1e-9 of a certified eigenvalue of its matrix, relative to
+    max(1, the matrix norm) (they are the same bits on current LAPACK
+    builds); the values of one matrix size are checked in one gather.  A
+    failure raises ConvergenceError naming the subset and phases of the
+    first failing matrix in table order.
     """
 
     def certified(stack: np.ndarray) -> np.ndarray:
@@ -391,17 +396,23 @@ def _spectrum_report(
     check_dedup_tol(dedup_tol)
     plan, complete, used = _plan_work(g, k, max_subset, budget, identity_only)
     matrices = g.degree_vector(), g.adjacency_matrix()
+    # imported on use, so that importing the package does not compile it
+    from hyperspec import _charpoly
+
     if identity_only:
         blocks = _identity_blocks([subset for subset, _ in plan])
-        solve = _symmetric_values
+        values, _ = _solve_blocks(matrices, k, kind, blocks, _symmetric_values)
+        rows = _charpoly.value_rows(blocks)
     else:
+        # one matrix per chi class, the first in plan order
         blocks = [(s, _class_phases(len(s), k, range(quota))) for s, quota in plan]
-        solve = eigvals_complex_stack
-    values, ends = _solve_blocks(matrices, k, kind, blocks, solve)
+        firsts = _solve_blocks(matrices, k, kind, blocks, _charpoly.Firsts(k), _charpoly.residues)
+        blocks = _charpoly.representatives(blocks, *firsts)
+        values, _ = _solve_blocks(matrices, k, kind, blocks, eigvals_complex_stack)
+        _certify(matrices, WitnessTable(k, kind, blocks, _charpoly.value_rows(blocks), values))
+        values, rows = _charpoly.group_rows(matrices, k, kind, blocks, values)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol)
-    witnesses = _witness_table(k, kind, blocks, values, ends, spectrum.sources)
-    if not identity_only:
-        _certify(matrices, witnesses)
+    witnesses = _witness_table(k, kind, blocks, rows, values, spectrum.sources)
     return SpectrumReport(kind, k, spectrum, witnesses, complete, used)
 
 
@@ -418,11 +429,27 @@ def spectrum_power(
 
     Unions the eigenvalues of every reduced matrix over connected subsets and
     phase classes, deduplicated at ``dedup_tol``.  Results under an exhausted
-    budget are flagged incomplete, never silently truncated.
+    budget are flagged incomplete, never silently truncated; ``budget_used``
+    counts the planned matrices.
 
-    The matrices are solved for values only; ``_certify`` then certifies the
-    witness eigenvalues.  The other values rest on the backward stability of
-    LAPACK's Hessenberg QR algorithm, as the matrices rho_power prunes do.
+    Matrices with one characteristic polynomial chi share their eigenvalues,
+    so only the first matrix of each chi class, in plan order, is
+    eigensolved.  Every planned matrix is keyed by chi modulo two primes
+    (``hyperspec._charpoly``), from a few exact float64 matrix products.  The
+    earliest matrix with a given eigenvalue is then a class representative,
+    so each value's witness is still the earliest planned matrix that has it.
+    A repeated eigenvalue comes back from LAPACK as several close values,
+    scattered by up to about eps^(1/m) when it is defective, which no dedup
+    tolerance can tell from distinct values.  So the computed values of a representative are merged, closest
+    pair first, into as many groups as chi has distinct roots, with the
+    multiplicities of its square-free factorisation, and each group reports
+    its mean.  The reported values are then the distinct eigenvalues
+    whatever the labelling or ``dedup_tol`` (713 for C5 at k = 8, as exact
+    arithmetic gives).  A group that spreads beyond 1e-3 max(1, ||M||) or
+    disagrees with those multiplicities raises ConvergenceError.
+
+    The representatives are solved for values only, and ``_certify``
+    certifies all of their values before the merge.
     """
     return _spectrum_report(g, k, kind, dedup_tol, max_subset, budget, False)
 
@@ -452,6 +479,11 @@ def lambda_max_laplacian(g: LoopedGraph, k: int) -> float:
     """
     _check_power_inputs(g, k)
     return float(eig_real_symmetric(g.laplacian_matrix())[-1].value)
+
+
+def _tie(top: float) -> float:
+    """The threshold of the moduli tied with ``top``: ``TIE_TOL`` relative."""
+    return top - TIE_TOL * max(1.0, top)
 
 
 def _below(bound: float | np.ndarray, threshold: float):
@@ -489,7 +521,15 @@ def rho_power(
     therefore the one of the unpruned enumeration.  Solves are values-only,
     and ``_certify`` certifies every tied row at the end; the other solved
     matrices rest on the backward stability of the eigensolver, and pruned
-    ones on their certified bound.  Bounds come at two levels.
+    ones on their certified bound.  The tied rows' values are then merged
+    into the means of their chi groups, as spectra merge them, wherever a
+    group can reach the row's largest modulus (the tie band, ``TIE_TOL``
+    relative, lies well inside that reach), and the maximum and the ties
+    are read from those means, so a scattered defective top eigenvalue
+    cannot overstate the radius.  The pruning still runs on the computed
+    moduli: a matrix whose top eigenvalue lies within that scatter of the
+    maximum may be pruned, so the radius can fall short by at most the
+    scatter.  Bounds come at two levels.
 
     Subsets.  Entrywise |D[U] - E A[U] E| = D[U] + A[U], so
     beta(U) = rho(D[U] + A[U]) (rho(A[U]) for the adjacency kind) bounds
@@ -535,7 +575,7 @@ def rho_power(
         solved.append((block, values))
         # np.hypot rounds exactly like abs() on a Python complex
         top = max(top, float(np.hypot(values.real, values.imag).max()))
-        threshold = top - TIE_TOL * max(1.0, top)
+        threshold = _tie(top)
 
     for position in np.argsort(-bounds, kind="stable"):
         if _below(bounds[position], threshold):
@@ -564,15 +604,20 @@ def rho_power(
             rows.extend(values[tied])
     if not rows:
         raise ValueError("reduction produced no matrices")
-    matrix = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    table = WitnessTable(k, kind, blocks, matrix, np.concatenate(rows))
+    from hyperspec import _charpoly
+
+    table = WitnessTable(k, kind, blocks, _charpoly.value_rows(blocks), np.concatenate(rows))
     _certify(matrices, table)
-    keys = table.matrix_keys()
-    j = min(range(len(keys)), key=lambda j: (len(keys[j][0]), keys[j]))
-    (subset, phases), values = keys[j], rows[j]
-    moduli = np.hypot(values.real, values.imag)
-    row_top = float(moduli.max())
-    near = moduli >= row_top - TIE_TOL * max(1.0, row_top)
+    # the maximum is read from each row's groups' means, so a scattered
+    # defective eigenvalue cannot overstate it
+    points, of = _charpoly.group_rows(matrices, k, kind, blocks, table.eigenvalues, top_only=True)
+    moduli = np.hypot(points.real, points.imag)
+    tops = np.zeros(len(rows))
+    np.maximum.at(tops, of, moduli)
+    top, keys = float(tops.max()), table.matrix_keys()
+    j = min(np.flatnonzero(tops >= _tie(top)), key=lambda j: (len(keys[j][0]), keys[j]))
+    (subset, phases), values = keys[j], points[of == j]
+    near = moduli[of == j] >= _tie(tops[j])
     nonneg = near & (values.imag >= 0)
     # rows are sorted by (real, imag): the first hit is the minimum
     j = np.flatnonzero(nonneg if nonneg.any() else near)[0]

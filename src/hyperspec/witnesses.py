@@ -132,33 +132,32 @@ class WitnessTable:
 
 
 def _witness_table(
-    k: int, kind: str, blocks: list[Block], values: np.ndarray, ends: list[int], indices: np.ndarray
+    k: int,
+    kind: str,
+    blocks: list[Block],
+    rows: np.ndarray,
+    values: np.ndarray,
+    indices: np.ndarray,
 ) -> WitnessTable:
     """The witnesses of the values at ``indices``, as one table.
 
-    ``values`` is the flat eigenvalue array of the solved ``blocks``, in plan
-    order: the values of ``blocks[i]`` end where ``ends[i]`` says, one row of
-    |U| values per phase row.  One search of ``ends`` maps each index to its
-    (block, row).  The table keeps one block per block with a witness,
-    holding only the phase rows of its witness matrices, in plan order.
+    ``rows[i]`` is the position of the matrix of ``values[i]`` among the
+    phase rows of ``blocks``, block after block.  The table keeps one block
+    per block with a witness, holding only the phase rows of its witness
+    matrices, in plan order.
     """
-    ends = np.array(ends)
-    sizes = np.array([len(subset) for subset, _ in blocks])
     counts = np.array([len(phases) for _, phases in blocks])
-    block = np.searchsorted(ends, indices, side="right")
-    row = (indices - (ends - counts * sizes)[block]) // sizes[block]
-    # every phase row in plan order, marked where it witnesses a value
     firsts = np.cumsum(counts) - counts
-    matrix = firsts[block] + row
+    matrix = rows[indices]
+    # every phase row, and every block, marked where it witnesses a value
     marked = np.zeros(counts.sum(), bool)
     marked[matrix] = True
-    used = np.zeros(len(counts), bool)
-    used[block] = True
+    used = np.zeros(len(blocks), bool)
+    used[np.searchsorted(firsts, matrix, side="right") - 1] = True
     kept = []
     for b in np.flatnonzero(used).tolist():
         subset, phases = blocks[b]
-        rows = np.flatnonzero(marked[firsts[b] : firsts[b] + counts[b]])
-        kept.append((subset, phases[rows]))
+        kept.append((subset, phases[marked[firsts[b] : firsts[b] + counts[b]]]))
     position = np.cumsum(marked) - 1
     return WitnessTable(k, kind, kept, position[matrix], values[indices])
 

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperspec
@@ -240,13 +241,17 @@ class TestSpectrumCommand:
 # stdout sha256 of each command in each format, recorded before the CLI lost
 # its shared option set and the reduction its second stack builder; the
 # certificate json and pretty digests were recorded again when the first
-# summary line became the decision at modulus k (C3 at k = 6 has none)
+# summary line became the decision at modulus k (C3 at k = 6 has none), and
+# the three full-spectrum digests when spectra became the chi-class means:
+# K4 at k = 6 keeps its 55 values (the exact count, see
+# test_charpoly.TestExactCounts) and witnesses, which moved by at most
+# 5.4e-15, and so did the order of eight values with near-equal real parts
 RECORDED = [
-    ("spectrum --format json", "a13f38bd8e2a9ca971f902f5f8ab38472a3ad3a2f869f1e466cf7bd07c9066b9"),
+    ("spectrum --format json", "5297aaba778ff80a0279e8ead238cb013c037d9ff41ae84838c7f0fd81a1696c"),
     ("spectrum --format json --h-only", "6b37475c844cbfccfab94553c5c3e10d8b24044cbced22cfd2b1b0c8ac87dd50"),
-    ("spectrum --format csv", "48d964c46edd47eb89b4cf1ea54781dde6897e53ebfe50db63bccf9e0481f6df"),
+    ("spectrum --format csv", "092aca3e65a67fd765a6e52232fce683ef724fc4e0d74ce373e14f73e8aadcd4"),
     ("spectrum --format csv --h-only", "304ee942b85ee4cb584909a0bdbdc0bee37c0c9dad55e33ea022b67bd34122f7"),
-    ("spectrum --format pretty", "07eb68052d110d5ff5ef1267613639abe4c09e2eba49361f5877020cd4093577"),
+    ("spectrum --format pretty", "f6b1ded89c5f685e9da9804fc132b2a2be8f1ff69ddcef53d7862a60fbbed0bc"),
     ("spectrum --format pretty --h-only", "02ad07b4e9c16a565e20b612007e5d61c1ffef9e2f4d89561a4eaed388d1c5c0"),
     ("verify --format json", "b30672540d2a4f25e4ae9de774512df2332454ae68c550c7006c8172784fcab3"),
     ("verify --format csv", "e1741c820b75a94f79c44ec7efa85eec10fc961d4e54cc5ce1e2e3c6a162eedb"),
@@ -372,7 +377,7 @@ class TestJsonWriter:
         self, tmp_path, capsys, triangle_file, command
     ):
         if command == "spectrum":
-            # C5 at k = 8 reports 770 values, several slices of each list
+            # C5 at k = 8 reports 713 values, several slices of each list
             path = tmp_path / "c5.edges"
             path.write_text(format_edge_list(cycle_graph(5)))
             argv = ["spectrum", "--input", str(path), "--k", "8"]
@@ -388,11 +393,11 @@ class TestJsonWriter:
         payload = json.loads(printed)
         assert printed == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         if command == "spectrum":
-            assert len(payload["values"]) == 770 > 2 * cli._SLICE
+            assert len(payload["values"]) == 713 > 2 * cli._SLICE
 
     def test_c7_spectrum_job_memory_is_bounded(self, tmp_path):
         # the whole job: enumeration, dedup, certification, the JSON payload
-        # and the sliced writer; about 3.0 MiB when measured
+        # and the sliced writer; about 3.2 MiB when measured
         path = tmp_path / "c7.edges"
         path.write_text(format_edge_list(cycle_graph(7)))
         out = tmp_path / "c7.json"
@@ -511,6 +516,20 @@ class TestVerifyCommand:
         assert run_cli(argv + ["--k", "4,6,8", "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_rho_equality_solves_a_base_graph_above_the_symmetric_cap(self, tmp_path):
+        # C301 has more vertices than SYMMETRIC_CAP, which bounds the reduced
+        # stacks only; its base matrices are solved with the same certificate
+        g = cycle_graph(301)
+        path, out = tmp_path / "c301.edges", tmp_path / "c301.json"
+        path.write_text(format_edge_list(g))
+        argv = ["verify", "--check", "rho-equality", "--input", str(path), "--k", "4"]
+        assert run_cli(argv + ["--max-subset", "2", "--out", str(out)]) in (0, 3)
+        (row,) = json.loads(out.read_text())["rows"]
+        bases = g.laplacian_matrix(), g.signless_laplacian_matrix()
+        lam, rho_q = (np.linalg.eigvalsh(m)[-1] for m in bases)
+        assert row["lambda_max_L"] == pytest.approx(lam, abs=1e-12)
+        assert row["rho_Q"] == pytest.approx(rho_q, abs=1e-12)
 
     def test_rho_equality_rejects_bipartite(self, square_file):
         code = run_cli(

@@ -25,6 +25,7 @@ from hyperspec.linalg import (
     eig_complex_pairs,
     eig_complex_stack,
     eig_real_symmetric,
+    eig_real_symmetric_stack,
     eigvals_complex_stack,
     power_iteration_nonneg,
     spectral_radius,
@@ -77,8 +78,18 @@ class TestEigRealSymmetric:
             eig_real_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_rejects_above_cap(self):
-        with pytest.raises(ValueError):
-            eig_real_symmetric(np.eye(SYMMETRIC_CAP + 1))
+        # the cap bounds stacks of reduced matrices
+        with pytest.raises(ValueError, match="exceeds cap 256"):
+            eig_real_symmetric_stack(np.eye(SYMMETRIC_CAP + 1)[None])
+
+    def test_a_base_matrix_above_the_cap_is_solved(self):
+        # a cycle's Laplacian, as the base graph of a rho-equality check
+        n = SYMMETRIC_CAP + 45
+        lap = 2 * np.eye(n) - np.roll(np.eye(n), 1, axis=0) - np.roll(np.eye(n), -1, axis=0)
+        pairs = eig_real_symmetric(lap)
+        assert len(pairs) == n and max(p.residual for p in pairs) <= 1e-10
+        want = np.linalg.eigvalsh(lap).tolist()
+        assert [p.value for p in pairs] == pytest.approx(want, abs=1e-12)
 
 
 class TestEigComplexPairs:
@@ -196,7 +207,8 @@ class TestEigvalsComplexStack:
 
         monkeypatch.setattr(reduction, "eigvals_complex_stack", recording)
         report = reduction.spectrum_power(cycle_graph(7), 6, "L")
-        assert sum(len(ms) for ms in stacks) == report.budget_used == 9831
+        # one representative per chi class is solved
+        assert sum(len(ms) for ms in stacks) == 400 and report.budget_used == 9831
         for ms in stacks:
             assert hex_rows(solve(ms)) == hex_rows(eig_complex_stack(ms)[0])
 
@@ -672,9 +684,10 @@ class TestSpectrumSetAgainstReference:
         monkeypatch.setattr(reduction, "SpectrumSet", Capture)
         report = reduction.spectrum_power(cycle_graph(7), 6, "L")
         values = captured["values"]
-        assert len(values) == 57414
+        # the merged values of the 400 chi class representatives
+        assert len(values) == 2461
         s = assert_matches_reference(values, reduction.DEDUP_TOL)
-        assert len(s) == len(report.values) == 2584
+        assert len(s) == len(report.values) == 2098
         sources = s.sources.tolist()
         assert report.spectrum.sources.tolist() == sources
         # each witness carries the input value its source names

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspec import linalg, reduction
+from hyperspec import _charpoly, linalg, reduction
 from hyperspec.graphs import (
     LoopedGraph,
     complete_graph,
@@ -462,8 +462,10 @@ class TestKindNames:
 
 def _one_matrix_at_a_time(g, k, kind, max_subset=8, budget=10**6, tie_tol=1e-9):
     """spectrum_power, h_spectrum_power and rho_power JSON, rebuilt one matrix
-    at a time from reduced_matrix and the one-matrix solvers: no stacks and
-    no pruning.  The budget takes matrices in subset order, as planned."""
+    at a time from reduced_matrix and the one-matrix solvers: no stacks, no
+    chi classes and no pruning.  Each matrix's eigenvalues are merged by the
+    multiplicities of its own chi, as ``_charpoly.group_rows`` merges them.
+    The budget takes matrices in subset order, as planned."""
     values, witnesses, entries = [], [], []
     h_values, h_witnesses, h_used = [], [], 0
     complete = h_complete = g.vertex_count <= max_subset
@@ -482,12 +484,13 @@ def _one_matrix_at_a_time(g, k, kind, max_subset=8, budget=10**6, tie_tol=1e-9):
                 complete = False
                 break
             pairs = eig_complex_pairs(reduced_matrix(g, k, subset, phases, kind))
+            merged = _merged(g, k, kind, subset, phases, [p.value for p in pairs]).tolist()
             assign = PhaseAssignment(k, phases)
-            for p in pairs:
-                values.append(p.value)
-                witnesses.append(ReductionWitness(subset, assign, kind, p.value))
-            top = max(abs(p.value) for p in pairs)
-            near = [p.value for p in pairs if abs(p.value) >= top - tie_tol * max(1.0, top)]
+            for value in merged:
+                values.append(value)
+                witnesses.append(ReductionWitness(subset, assign, kind, value))
+            top = max(abs(v) for v in merged)
+            near = [v for v in merged if abs(v) >= top - tie_tol * max(1.0, top)]
             pick = min([v for v in near if v.imag >= 0] or near, key=lambda v: (v.real, v.imag))
             entries.append((top, ReductionWitness(subset, assign, kind, pick)))
     used = len(entries)
@@ -518,6 +521,32 @@ def _canonical(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
+def assert_same_spectrum(got, want):
+    """Spectrum payloads with the same values, within 1e-10 of the scale, and
+    the same witness matrix for each value.
+
+    A value of ``got`` is the mean of its chi class representative's group,
+    and of ``want`` the mean over every matrix that has it, so the two agree
+    to rounding, not bit for bit; the witness is in both the earliest planned
+    matrix with the value.
+    """
+    assert {key: got[key] for key in ("kind", "k", "complete", "budget_used")} == {
+        key: want[key] for key in ("kind", "k", "complete", "budget_used")
+    }
+    ours, theirs = (np.array([complex(*v) for v in p["values"]]) for p in (got, want))
+    assert len(ours) == len(theirs)
+    if not len(ours):
+        return
+    scale = max(1.0, float(np.abs(theirs).max()))
+    match = np.abs(ours[:, None] - theirs[None, :]).argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(len(theirs)))
+    assert np.abs(ours - theirs[match]).max() <= 1e-10 * scale
+    for mine, j in zip(got["witnesses"], match.tolist()):
+        other = want["witnesses"][j]
+        assert (mine["subset"], mine["phases"]) == (other["subset"], other["phases"])
+        assert abs(complex(*mine["eigenvalue"]) - theirs[j]) <= 1e-10 * scale
+
+
 class TestBatchedEngine:
     @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
     @pytest.mark.parametrize("k", [4, 6, 8])
@@ -526,7 +555,7 @@ class TestBatchedEngine:
     )
     def test_matches_one_matrix_at_a_time(self, g, k, kind):
         spectrum, _, rho = _one_matrix_at_a_time(g, k, kind)
-        assert _canonical(spectrum_power(g, k, kind).to_json_dict()) == _canonical(spectrum)
+        assert_same_spectrum(spectrum_power(g, k, kind).to_json_dict(), spectrum)
         assert _canonical(rho_power(g, k, kind).to_json_dict()) == _canonical(rho)
 
     @pytest.mark.parametrize("compute", [spectrum_power, h_spectrum_power, rho_power])
@@ -628,7 +657,7 @@ class TestPrunedAndStackedSolves:
         got_h = h_spectrum_power(g, k, kind, **options).to_json_dict()
         with patch.object(reduction, "TIE_TOL", tie_tol):
             got_rho = rho_power(g, k, kind, **options).to_json_dict()
-        assert _canonical(got) == _canonical(spectrum)
+        assert_same_spectrum(got, spectrum)
         assert _canonical(got_h) == _canonical(h_spectrum)
         assert _canonical(got_rho) == _canonical(rho)
 
@@ -699,33 +728,48 @@ class TestPrunedAndStackedSolves:
     def test_spectrum_stacks_split_at_the_entry_cap(self, monkeypatch):
         g = complete_graph(5)
         whole = spectrum_power(g, 6, "laplacian").to_json_dict()
-        shapes = []
-        build = reduction._phased_matrices
+        shapes, residue_shapes = [], []
 
-        def recording(*args, **kwargs):
-            stack = build(*args, **kwargs)
-            shapes.append(stack.shape)
-            return stack
+        def recording(build, shapes):
+            def record(*args, **kwargs):
+                stack = build(*args, **kwargs)
+                shapes.append(stack.shape)
+                return stack
+
+            return record
+
+        class Keys(_charpoly.Firsts):
+            # the stacks of images mod p that key the planned matrices
+            def __call__(self, stack):
+                residue_shapes.append(stack.shape)
+                return super().__call__(stack)
 
         monkeypatch.setattr(reduction, "_STACK_ENTRIES", 100)
-        monkeypatch.setattr(reduction, "_phased_matrices", recording)
+        build = recording(reduction._phased_matrices, shapes)
+        monkeypatch.setattr(reduction, "_phased_matrices", build)
+        monkeypatch.setattr(_charpoly, "Firsts", Keys)
+        solved = _count_solved_rows(monkeypatch)
         certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
         chunked = spectrum_power(g, 6, "laplacian").to_json_dict()
         assert _canonical(chunked) == _canonical(whole)
         assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
-        # every planned matrix is built once, and every witness matrix once more
-        witnesses = {(tuple(w["subset"]), tuple(w["phases"])) for w in chunked["witnesses"]}
-        assert sum(certified) == len(witnesses)
-        assert sum(n for n, _, _ in shapes) - sum(certified) == chunked["budget_used"] == 1023
-        assert len(shapes) > 100
+        assert all(n == 1 or n * s * s <= 100 for _, n, s, _ in residue_shapes)
+        # every planned matrix gets its images mod p once, and each class
+        # representative is built once to be solved and once to be certified
+        assert sum(n for _, n, _, _ in residue_shapes) == chunked["budget_used"] == 1023
+        assert sum(n for n, _, _ in shapes) == sum(certified) + sum(solved)
+        assert sum(certified) == sum(solved) == 50
+        assert len(shapes) > 10 and len(residue_shapes) > 100
 
     def test_spectrum_solves_one_stack_per_subset_size(self, monkeypatch):
         g, k = cycle_graph(5), 8
         rows = _count_solved_rows(monkeypatch)
         report = spectrum_power(g, k, "laplacian")
-        # 21 connected subsets in five sizes; each size fits in one stack
+        # 21 connected subsets in five sizes; each size's representatives fit
+        # in one stack: one per chi class, 186 of the 2724 planned matrices
         assert len(list(connected_subsets(g, 5))) == 21
-        assert len(rows) == 5 and sum(rows) == report.budget_used == 2724
+        assert len(rows) == 5 and sum(rows) == 186
+        assert report.budget_used == 2724
 
     def test_identity_stacks_split_at_the_entry_cap(self, monkeypatch):
         g = _petersen()
@@ -774,9 +818,9 @@ def test_the_enumeration_leaves_no_reference_cycles():
 
 
 def test_c7_sixth_power_spectrum_memory_is_bounded():
-    # one copy of the 57 414 enumerated eigenvalues (0.88 MiB), their phases
-    # as int8 and bounded scratch in every stage: about 2.9 MiB when measured,
-    # set by the eigensolve of a stack
+    # the phases of the 9831 planned matrices as int8, one class mark per
+    # matrix and bounded scratch in every stage: about 3.2 MiB when
+    # measured, set by a stack of images mod p and its powers
     g = cycle_graph(7)
     spectrum_power(g, 6)
     tracemalloc.start()
@@ -785,7 +829,7 @@ def test_c7_sixth_power_spectrum_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(report.values) == 2584 and report.budget_used == 9831
+    assert len(report.values) == 2098 and report.budget_used == 9831
     assert peak < 5 * 2**20
 
 
@@ -812,6 +856,13 @@ def _values_by_matrix(table):
     for j, value in zip(table.matrix.tolist(), table.eigenvalues.tolist()):
         rows[keys[j]].append(value)
     return rows
+
+
+def _merged(g, k, kind, subset, phases, values):
+    """The values of one matrix merged by the multiplicities of its chi."""
+    matrices = g.degree_vector(), g.adjacency_matrix()
+    block = [(subset, np.array([phases]))]
+    return _charpoly.group_rows(matrices, k, kind, block, np.array(values, dtype=complex))[0]
 
 
 def _hex(values):
@@ -882,7 +933,9 @@ class TestFailedRowsAreNamed:
         assert _named_matrix(info.value) == (group[9], (0, 0, 0))
 
     def test_a_failed_certificate_names_its_matrix(self, monkeypatch):
-        g, k = cycle_graph(5), 8
+        # a triangle with a pendant vertex: its 3-vertex subsets are not all
+        # alike, so their witness matrices come from two subsets
+        g, k = LoopedGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), 6
         reported = []
         certify = reduction._certify
 
@@ -892,7 +945,7 @@ class TestFailedRowsAreNamed:
 
         monkeypatch.setattr(reduction, "_certify", recording)
         # five 3 x 3 matrices per stack; the witness matrices come in plan
-        # order, and the first subset of size 3 has 16, so the fourth stack
+        # order, and the first subset of size 3 has 18, so the fourth stack
         # is the first that spans two subsets
         monkeypatch.setattr(reduction, "_STACK_ENTRIES", 50)
         lengths = _fail_in_stack(monkeypatch, "eig_complex_stack", 3, 3, 1)
@@ -906,42 +959,50 @@ class TestFailedRowsAreNamed:
 
 
 class TestCertifiedWitnesses:
-    def test_only_the_witness_matrices_are_certified(self, monkeypatch):
+    def test_every_representative_is_certified(self, monkeypatch):
         g, k = cycle_graph(5), 8
         solved = _count_solved_rows(monkeypatch)
         certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
         report = spectrum_power(g, k, "laplacian")
         witnesses = list(report.witnesses)
         matrices = {(w.subset, w.phase.phases) for w in witnesses}
-        assert sum(solved) == report.budget_used == 2724
-        assert sum(certified) == len(matrices) == 204
+        # one solve and one certificate per chi class; all but one class
+        # witness a value
+        assert sum(solved) == sum(certified) == 186 and report.budget_used == 2724
+        assert len(matrices) == 185
         for w in witnesses:
             pairs = eig_complex_pairs(reduced_matrix(g, k, w.subset, w.phase.phases))
-            hits = [p for p in pairs if _hex([p.value]) == _hex([w.eigenvalue])]
-            assert hits and all(p.residual <= 1e-9 for p in hits)
+            assert all(p.residual <= 1e-9 for p in pairs)
+            # a certified eigenvalue, or the mean of a group of them
+            merged = _merged(g, k, "laplacian", w.subset, w.phase.phases, [p.value for p in pairs])
+            assert _hex([w.eigenvalue])[0] in _hex(merged)
 
-    def test_the_witness_matrices_are_certified_in_one_stack_per_size(self, monkeypatch):
+    def test_the_representatives_are_certified_in_one_stack_per_size(self, monkeypatch):
         g, k = cycle_graph(5), 8
-        stacks = []
-        solve = reduction.eig_complex_stack
+        stacks, solved = [], []
 
-        def recording(ms):
-            stacks.append(ms.copy())
-            return solve(ms)
+        def recording(solve, into):
+            def record(ms):
+                into.append(ms.copy())
+                return solve(ms)
 
-        monkeypatch.setattr(reduction, "eig_complex_stack", recording)
+            return record
+
+        for name, into in (("eig_complex_stack", stacks), ("eigvals_complex_stack", solved)):
+            monkeypatch.setattr(reduction, name, recording(getattr(reduction, name), into))
         report = spectrum_power(g, k, "laplacian")
         keys = {(w.subset, w.phase.phases) for w in report.witnesses}
         sizes = [len(ms[0]) for ms in stacks]
-        assert len(keys) == sum(len(ms) for ms in stacks) == 204
+        assert sum(len(ms) for ms in stacks) == 186 and len(keys) == 185
         assert sorted(sizes) == sorted(set(sizes)) == [1, 2, 3, 4, 5]
 
         def content(m):
             # +0.0 turns -0.0 into 0.0, so equal matrices give equal bytes
             return (np.asarray(m, dtype=complex) + 0.0).tobytes()
 
-        solved = sorted(content(m) for ms in stacks for m in ms)
-        assert solved == sorted(content(reduced_matrix(g, k, *key)) for key in keys)
+        certified = sorted(content(m) for ms in stacks for m in ms)
+        assert certified == sorted(content(m) for ms in solved for m in ms)
+        assert {content(reduced_matrix(g, k, *key)) for key in keys} <= set(certified)
 
     def test_every_tied_rho_row_is_certified(self, monkeypatch):
         g, k, tie_tol = complete_graph(4), 6, 0.05
@@ -972,8 +1033,14 @@ class TestCertifiedWitnesses:
 
     def test_a_wrong_reported_spectrum_value_is_caught(self, monkeypatch):
         g, k = cycle_graph(5), 8
-        subset, phases = _planned(g, k)[1000]
-        matrix = reduced_matrix(g, k, subset, phases)
+        # a witness matrix with five distinct eigenvalues, so no group
+        for w in list(spectrum_power(g, k, "laplacian").witnesses)[500:]:
+            subset, phases = w.subset, w.phase.phases
+            matrix = reduced_matrix(g, k, subset, phases)
+            pairs = eig_complex_pairs(matrix)
+            merged = _merged(g, k, "L", subset, phases, [p.value for p in pairs])
+            if len(subset) == len(merged) == 5:
+                break
         solve = reduction.eigvals_complex_stack
 
         def moving(ms):

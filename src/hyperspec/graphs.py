@@ -17,6 +17,7 @@ __all__ = [
     "LoopedGraph",
     "as_subset",
     "connected_subsets",
+    "induces_bipartite",
     "cycle_graph",
     "path_graph",
     "complete_graph",
@@ -111,21 +112,7 @@ class LoopedGraph:
         """2-colorability of the simple edges; rejects graphs with loops."""
         if self.has_loops:
             raise ValueError("bipartiteness is undefined for graphs with loops")
-        color = [-1] * self.vertex_count
-        for start in range(self.vertex_count):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
+        return induces_bipartite(self, range(self.vertex_count))
 
     # -- derived graphs --------------------------------------------------
 
@@ -242,6 +229,29 @@ def connected_subsets(g: LoopedGraph, max_size: int) -> Iterator[tuple[int, ...]
         _grow(adj, max_size, results, [root], ext0, {root, *adj[root]}, root)
     results.sort()
     return iter(results)
+
+
+def induces_bipartite(g: LoopedGraph, subset: Sequence[int]) -> bool:
+    """Whether a vertex subset induces a bipartite subgraph: a 2-colouring
+    of the simple edges inside it, each component from its first member."""
+    members = set(subset)
+    side: dict[int, int] = {}
+    for start in subset:
+        if start in side:
+            continue
+        side[start] = 0
+        queue = [start]
+        # the loop also visits the vertices appended while it runs
+        for u in queue:
+            for w in g._adj[u]:
+                if w not in members:
+                    continue
+                if w not in side:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
 
 
 # -- stock graphs ---------------------------------------------------------

@@ -158,7 +158,9 @@ def eigvals_complex_stack(ms: np.ndarray) -> np.ndarray:
     checks of :func:`eig_complex_stack`.  The values are uncertified but bit
     for bit ``eig_complex_stack(ms)[0]``: numpy's ``eigvals`` and ``eig``
     both run zgeev, whose eigenvalues come from zlahqr for every n < 75
-    whether or not vectors are asked for.
+    whether or not vectors are asked for.  For solves whose values are
+    mostly discarded: ``rho_power`` solves its unpruned classes with it and
+    certifies only the rows it reports.
     Large stacks are solved in row parts on threads (``split_solve``); each
     matrix is still one zgeev call on the same bytes, so the values are the
     same bits at any CPU count.

@@ -298,19 +298,24 @@ def _symmetric_values(stack: np.ndarray) -> np.ndarray:
     return eig_real_symmetric_stack(stack)[0]
 
 
+def _complex_values(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a complex stack, sorted by (real, imag), every pair certified."""
+    return eig_complex_stack(stack)[0]
+
+
 def _certify(matrices: tuple[np.ndarray, np.ndarray], table: WitnessTable) -> None:
     """Certify every eigenvalue of ``table`` against its witness matrix.
 
-    The table holds computed values before their groups are merged: every
-    value of a spectrum's chi class representatives, or of rho_power's tied
-    rows.  So each reported value is a certified value or the mean of a
-    group of them.  The witness matrices, rebuilt by subset size in
-    ``_solve_blocks``, are solved with ``eig_complex_stack``, and each value
-    must lie within 1e-9 of a certified eigenvalue of its matrix, relative to
-    max(1, the matrix norm) (they are the same bits on current LAPACK
-    builds); the values of one matrix size are checked in one gather.  A
-    failure raises ConvergenceError naming the subset and phases of the
-    first failing matrix in table order.
+    The table holds rho_power's tied rows, solved for values only, before
+    their groups are merged, so each value it reports is a certified value
+    or the mean of a group of them.  (Spectra solve their representatives
+    with ``eig_complex_stack`` alone.)  The witness matrices, rebuilt by
+    subset size in ``_solve_blocks``, are solved with ``eig_complex_stack``,
+    and each value must lie within 1e-9 of a certified eigenvalue of its
+    matrix, relative to max(1, the matrix norm) (they are the same bits on
+    current LAPACK builds); the values of one matrix size are checked in one
+    gather.  A failure raises ConvergenceError naming the subset and phases
+    of the first failing matrix in table order.
     """
 
     def certified(stack: np.ndarray) -> np.ndarray:
@@ -404,12 +409,15 @@ def _spectrum_report(
         values, _ = _solve_blocks(matrices, k, kind, blocks, _symmetric_values)
         rows = _charpoly.value_rows(blocks)
     else:
-        # one matrix per chi class, the first in plan order
-        blocks = [(s, _class_phases(len(s), k, range(quota))) for s, quota in plan]
+        # one matrix per chi class, the first in plan order, which is the
+        # first of its gauge orbit: only the orbit minima are keyed
+        blocks = [
+            (s, _class_phases(len(s), k, range(_charpoly.keyed_rows(g, s, k, quota))))
+            for s, quota in plan
+        ]
         firsts = _solve_blocks(matrices, k, kind, blocks, _charpoly.Firsts(k), _charpoly.residues)
         blocks = _charpoly.representatives(blocks, *firsts)
-        values, _ = _solve_blocks(matrices, k, kind, blocks, eigvals_complex_stack)
-        _certify(matrices, WitnessTable(k, kind, blocks, _charpoly.value_rows(blocks), values))
+        values, _ = _solve_blocks(matrices, k, kind, blocks, _complex_values)
         values, rows = _charpoly.group_rows(matrices, k, kind, blocks, values)
     spectrum = SpectrumSet(values, dedup_tol=dedup_tol)
     witnesses = _witness_table(k, kind, blocks, rows, values, spectrum.sources)
@@ -434,22 +442,25 @@ def spectrum_power(
 
     Matrices with one characteristic polynomial chi share their eigenvalues,
     so only the first matrix of each chi class, in plan order, is
-    eigensolved.  Every planned matrix is keyed by chi modulo two primes
-    (``hyperspec._charpoly``), from a few exact float64 matrix products.  The
-    earliest matrix with a given eigenvalue is then a class representative,
-    so each value's witness is still the earliest planned matrix that has it.
+    eigensolved.  Matrices are keyed by chi modulo two primes
+    (``hyperspec._charpoly``), from a few exact float64 matrix products: on a
+    subset that induces a bipartite subgraph, only the (k/2)^(s-1) orbit
+    minima of its phase rows, which the k/2 gauge shifts of each row share
+    a key with, and every planned matrix elsewhere.  The earliest matrix
+    with a given eigenvalue is then a class representative, so each value's
+    witness is still the earliest planned matrix that has it.
     A repeated eigenvalue comes back from LAPACK as several close values,
     scattered by up to about eps^(1/m) when it is defective, which no dedup
-    tolerance can tell from distinct values.  So the computed values of a representative are merged, closest
-    pair first, into as many groups as chi has distinct roots, with the
-    multiplicities of its square-free factorisation, and each group reports
-    its mean.  The reported values are then the distinct eigenvalues
+    tolerance can tell from distinct values.  So the computed values of a
+    representative are merged, closest pair first, into as many groups as
+    chi has distinct roots, with the multiplicities of its square-free
+    factorisation, and each group reports its mean.  The reported values are then the distinct eigenvalues
     whatever the labelling or ``dedup_tol`` (713 for C5 at k = 8, as exact
     arithmetic gives).  A group that spreads beyond 1e-3 max(1, ||M||) or
     disagrees with those multiplicities raises ConvergenceError.
 
-    The representatives are solved for values only, and ``_certify``
-    certifies all of their values before the merge.
+    Each representative is solved once, with ``eig_complex_stack``, whose
+    1e-9 residual gate certifies every computed value before the merge.
     """
     return _spectrum_report(g, k, kind, dedup_tol, max_subset, budget, False)
 

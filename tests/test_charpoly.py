@@ -1,6 +1,7 @@
 """Characteristic-polynomial classes: exact arithmetic mod p, exact spectrum
 sizes against sympy, and the gates that guard the eigenvalue groups."""
 
+import itertools
 import random
 
 import numpy as np
@@ -76,6 +77,50 @@ class TestArithmeticModP:
             assert _charpoly.multiplicities(sums, p) == want
 
 
+def keys(g, subset, k, phases, kind):
+    """power_sums of the images at both primes of k, one array per prime."""
+    index = np.array([subset])
+    stacks = _charpoly.residues(g.degree_vector(), g.adjacency_matrix(), index, k, phases, kind)
+    return [_charpoly.power_sums(stack, p) for stack, (p, _) in zip(stacks, _charpoly.primes(k, len(subset)))]
+
+
+class TestOrbitKeys:
+    # sigma is +1 on one side of a 2-colouring and -1 on the other; every
+    # row l is shifted to l + c sigma and re-reduced into [0, k/2)
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
+    @pytest.mark.parametrize("k", [6, 8])
+    @pytest.mark.parametrize(
+        "g, subset, sigma",
+        [
+            (cycle_graph(6), (0, 1, 2, 3, 4, 5), (1, -1, 1, -1, 1, -1)),
+            (PAW, (0, 2, 3), (1, -1, 1)),
+        ],
+        ids=["C6", "paw-path"],
+    )
+    def test_a_bipartite_shift_keeps_the_power_sums(self, g, subset, sigma, k, kind):
+        rows = reduction._class_phases(len(subset), k, range((k // 2) ** len(subset)))
+        want = keys(g, subset, k, rows, kind)
+        for c in range(1, k // 2):
+            shifted = (rows + c * np.array(sigma)) % (k // 2)
+            assert not np.array_equal(shifted, rows)
+            for got, each in zip(keys(g, subset, k, shifted, kind), want):
+                assert np.array_equal(got, each)
+        assert _charpoly.keyed_rows(g, subset, k, len(rows)) == len(rows) // (k // 2)
+
+    def test_an_odd_cycle_has_shifts_that_change_the_power_sums(self):
+        g, k, subset = cycle_graph(5), 8, (0, 1, 2, 3, 4)
+        rows = reduction._class_phases(5, k, range((k // 2) ** 5))
+        want = keys(g, subset, k, rows, "laplacian")
+        # no sign vector is a 2-colouring of C5, so each one has rows whose
+        # shift by c = 1 changes their keys
+        for signs in itertools.product((1, -1), repeat=4):
+            shifted = (rows + np.array((1, *signs))) % (k // 2)
+            got = keys(g, subset, k, shifted, "laplacian")
+            assert any((a != b).any() for a, b in zip(got, want))
+        assert _charpoly.keyed_rows(g, subset, k, len(rows)) == len(rows)
+
+
 class TestGroupGates:
     def test_groups_follow_the_multiplicities(self):
         values = np.array([0.0, 1e-6, 2.0, 3.0, 3.0 + 2e-6j])
@@ -149,14 +194,15 @@ def sympy_exact_sizes(g, k, kind="laplacian"):
 
 
 def count_solved(monkeypatch):
+    """Route reduction's certified complex solves through a counter of rows."""
     rows = []
-    solve = reduction.eigvals_complex_stack
+    solve = reduction.eig_complex_stack
 
     def counting(ms):
         rows.append(len(ms))
         return solve(ms)
 
-    monkeypatch.setattr(reduction, "eigvals_complex_stack", counting)
+    monkeypatch.setattr(reduction, "eig_complex_stack", counting)
     return rows
 
 

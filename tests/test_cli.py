@@ -263,6 +263,16 @@ RECORDED = [
 ]
 
 
+# stdout sha256 of spectrum --k 8 of C6 in each format, recorded before the
+# spectrum keyed only the gauge-orbit minima: every connected subset of C6
+# is bipartite, so that key pass drops the most rows here
+C6_K8_RECORDED = [
+    ("json", "a7d5d1454958ac6588f3cfd27495c8230c03f8b5cf702ea2248c55c5d4afd4ba"),
+    ("csv", "75b336b7f405c4cc74b3917734887db2ef4087ff59bd4853951b2cf57e712aaf"),
+    ("pretty", "0d3526ffdb236ea7bf0aeb35175f14a1e54e638c34ea268fa77c164bbf71473d"),
+]
+
+
 def _recorded_argv(command, tmp_path, triangle_file):
     """The argv of one recorded run: spectrum of K4 at k = 6, power-invariance
     of C3 at k = 4 and 6, certificates of the C3 power at k = 6, and that power."""
@@ -290,6 +300,17 @@ class TestRecordedBytes:
         argv = _recorded_argv(command, tmp_path, triangle_file)
         capsys.readouterr()
         assert run_cli(argv + extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, digest", C6_K8_RECORDED, ids=[fmt for fmt, _ in C6_K8_RECORDED])
+    def test_the_c6_eighth_power_spectrum_prints_the_recorded_bytes(
+        self, tmp_path, capsys, fmt, digest
+    ):
+        path = tmp_path / "c6.edges"
+        path.write_text(format_edge_list(cycle_graph(6)))
+        capsys.readouterr()
+        assert run_cli(["spectrum", "--input", str(path), "--k", "8", "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -186,10 +186,12 @@ class TestEigvalsComplexStack:
     n < 75, and COMPLEX_CAP is 64, zgeev computes the eigenvalues with zlahqr,
     and asking for eigenvectors only adds work outside zlahqr's active block:
     the Schur update of the rows and columns beyond it and the accumulated
-    transformations.  The values are therefore the same bits, and the
-    reduction reports values-only eigenvalues while certifying them with
-    eig_complex_stack.  A numpy or LAPACK upgrade that breaks this premise
-    fails here instead of silently moving output bytes.
+    transformations.  The values are therefore the same bits: rho_power
+    reports values-only eigenvalues while certifying them with
+    eig_complex_stack, and spectra, once solved for values only, report
+    eig_complex_stack's values with the same bytes.  A numpy or LAPACK
+    upgrade that breaks this premise fails here instead of silently moving
+    output bytes.
     """
 
     @settings(max_examples=60)
@@ -198,19 +200,26 @@ class TestEigvalsComplexStack:
         assert hex_rows(eigvals_complex_stack(ms)) == hex_rows(eig_complex_stack(ms)[0])
 
     def test_matches_the_pair_solver_on_the_c7_sixth_power_stacks(self, monkeypatch):
-        stacks = []
-        solve = reduction.eigvals_complex_stack
+        stacks = {"eigvals_complex_stack": [], "eig_complex_stack": []}
 
-        def recording(ms):
-            stacks.append(ms)
-            return solve(ms)
+        def recording(solve, into):
+            def record(ms):
+                into.append(ms)
+                return solve(ms)
 
-        monkeypatch.setattr(reduction, "eigvals_complex_stack", recording)
+            return record
+
+        for name, into in stacks.items():
+            monkeypatch.setattr(reduction, name, recording(getattr(reduction, name), into))
+        # rho_power solves its unpruned classes for values only, and the
+        # spectrum one representative per chi class with eig_complex_stack
+        result = reduction.rho_power(cycle_graph(7), 6, "L")
         report = reduction.spectrum_power(cycle_graph(7), 6, "L")
-        # one representative per chi class is solved
-        assert sum(len(ms) for ms in stacks) == 400 and report.budget_used == 9831
-        for ms in stacks:
-            assert hex_rows(solve(ms)) == hex_rows(eig_complex_stack(ms)[0])
+        values_only, paired = stacks.values()
+        assert sum(len(ms) for ms in values_only) == 127 and result.budget_used == 9831
+        assert sum(len(ms) for ms in paired) == 14 + 400 and report.budget_used == 9831
+        for ms in values_only + paired:
+            assert hex_rows(eigvals_complex_stack(ms)) == hex_rows(eig_complex_stack(ms)[0])
 
     def test_rows_are_sorted_by_real_then_imaginary_part(self):
         values = eigvals_complex_stack(np.diag([1j, -1j, 2.0, -1.0 + 0.5j])[None])

@@ -754,16 +754,18 @@ class TestPrunedAndStackedSolves:
         assert _canonical(chunked) == _canonical(whole)
         assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
         assert all(n == 1 or n * s * s <= 100 for _, n, s, _ in residue_shapes)
-        # every planned matrix gets its images mod p once, and each class
-        # representative is built once to be solved and once to be certified
-        assert sum(n for _, n, _, _ in residue_shapes) == chunked["budget_used"] == 1023
-        assert sum(n for n, _, _ in shapes) == sum(certified) + sum(solved)
-        assert sum(certified) == sum(solved) == 50
+        # the gauge-orbit minima of the 1023 planned matrices get their images
+        # mod p once: K5's bipartite subsets are its 5 vertices, keyed at 1 of
+        # 3 rows, and its 10 edges, at 3 of 9; each class representative is
+        # built once, and solved once with its eigenvectors
+        assert chunked["budget_used"] == 1023
+        assert sum(n for _, n, _, _ in residue_shapes) == 1023 - 5 * 2 - 10 * 6 == 953
+        assert sum(n for n, _, _ in shapes) == sum(certified) == 50 and not solved
         assert len(shapes) > 10 and len(residue_shapes) > 100
 
     def test_spectrum_solves_one_stack_per_subset_size(self, monkeypatch):
         g, k = cycle_graph(5), 8
-        rows = _count_solved_rows(monkeypatch)
+        rows = _count_solved_rows(monkeypatch, "eig_complex_stack")
         report = spectrum_power(g, k, "laplacian")
         # 21 connected subsets in five sizes; each size's representatives fit
         # in one stack: one per chi class, 186 of the 2724 planned matrices
@@ -799,6 +801,66 @@ class TestPrunedAndStackedSolves:
         assert report.complete and report.budget_used == 568
         # about 0.8 MiB when measured, most of it the witnesses and the dedup
         assert peak < 1.5 * 2**20
+
+
+def _every_row_representatives(g, k, kind, budget):
+    """The chi class representatives of a key pass over every planned row,
+    the oracle of the orbit cut, as (subset, phases) in plan order."""
+    plan, _, _ = reduction._plan_work(g, k, reduction.DEFAULT_MAX_SUBSET, budget)
+    matrices = g.degree_vector(), g.adjacency_matrix()
+    blocks = [(s, reduction._class_phases(len(s), k, range(quota))) for s, quota in plan]
+    marks = reduction._solve_blocks(
+        matrices, k, normalize_kind(kind), blocks, _charpoly.Firsts(k), _charpoly.residues
+    )
+    picked = _charpoly.representatives(blocks, *marks)
+    return [(subset, tuple(row)) for subset, phases in picked for row in phases.tolist()]
+
+
+def _assert_the_orbit_cut_changes_nothing(g, k, kind, budget):
+    with pytest.MonkeyPatch.context() as keys:
+        picked = _record_representatives(keys)
+        got = spectrum_power(g, k, kind, budget=budget).to_json_dict()
+        # the oracle keys every planned row
+        keys.setattr(_charpoly, "keyed_rows", lambda g, subset, k, quota: quota)
+        want = spectrum_power(g, k, kind, budget=budget).to_json_dict()
+    assert picked[0] == picked[1] == _every_row_representatives(g, k, kind, budget)
+    assert got == want
+
+
+class TestOrbitCut:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_keying_the_orbit_minima_keeps_the_representatives(self, data):
+        k = data.draw(st.sampled_from([4, 6, 8]), label="k")
+        g = data.draw(connected_graphs(4 if k == 8 else 5), label="graph")
+        kind = data.draw(st.sampled_from(["L", "Q", "A"]), label="kind")
+        _, _, planned = reduction._plan_work(g, k, reduction.DEFAULT_MAX_SUBSET, 10**6)
+        # most budgets below the plan end inside a block
+        budget = data.draw(st.integers(1, planned), label="budget")
+        _assert_the_orbit_cut_changes_nothing(g, k, kind, budget)
+
+    # C6 at k = 8 plans 1364 matrices before the 4096 rows of its whole
+    # cycle, of which the first 1024 are orbit minima: budgets end inside
+    # that block, before and after its last minimum
+    @pytest.mark.parametrize("budget", [1364 + 500, 1364 + 2000, 10**6])
+    def test_a_cut_bipartite_block_keeps_its_representatives(self, budget):
+        _assert_the_orbit_cut_changes_nothing(cycle_graph(6), 8, "L", budget)
+
+    @pytest.mark.parametrize(
+        "g, k, planned, keyed",
+        [
+            (cycle_graph(5), 4, 182, 107),
+            (cycle_graph(5), 8, 2724, 1449),
+            (cycle_graph(7), 6, 9831, 4735),
+            (complete_graph(4), 8, 624, 540),
+            (complete_graph(5), 6, 1023, 953),
+        ],
+        ids=["C5-k4", "C5-k8", "C7-k6", "K4-k8", "K5-k6"],
+    )
+    def test_keyed_rows_of_the_ladder_graphs(self, g, k, planned, keyed):
+        plan, _, used = reduction._plan_work(g, k, reduction.DEFAULT_MAX_SUBSET, 10**6)
+        assert used == planned
+        assert sum(_charpoly.keyed_rows(g, subset, k, quota) for subset, quota in plan) == keyed
 
 
 def test_the_enumeration_leaves_no_reference_cycles():
@@ -863,6 +925,21 @@ def _merged(g, k, kind, subset, phases, values):
     matrices = g.degree_vector(), g.adjacency_matrix()
     block = [(subset, np.array([phases]))]
     return _charpoly.group_rows(matrices, k, kind, block, np.array(values, dtype=complex))[0]
+
+
+def _record_representatives(monkeypatch):
+    """The (subset, phases) of every chi class representative that
+    ``_charpoly.representatives`` picks, in its order, one list per call."""
+    picked = []
+    pick = _charpoly.representatives
+
+    def recording(*args):
+        blocks = pick(*args)
+        picked.append([(subset, tuple(row)) for subset, phases in blocks for row in phases.tolist()])
+        return blocks
+
+    monkeypatch.setattr(_charpoly, "representatives", recording)
+    return picked
 
 
 def _hex(values):
@@ -934,19 +1011,13 @@ class TestFailedRowsAreNamed:
 
     def test_a_failed_certificate_names_its_matrix(self, monkeypatch):
         # a triangle with a pendant vertex: its 3-vertex subsets are not all
-        # alike, so their witness matrices come from two subsets
+        # alike, so their representatives come from two subsets
         g, k = LoopedGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), 6
-        reported = []
-        certify = reduction._certify
-
-        def recording(matrices, table):
-            reported.append(table.matrix_keys())
-            return certify(matrices, table)
-
-        monkeypatch.setattr(reduction, "_certify", recording)
-        # five 3 x 3 matrices per stack; the witness matrices come in plan
-        # order, and the first subset of size 3 has 18, so the fourth stack
-        # is the first that spans two subsets
+        reported = _record_representatives(monkeypatch)
+        # five 3 x 3 matrices per stack; the representatives, each solved
+        # once with its certified pairs, come in plan order, and the first
+        # subset of size 3 has 18, so the fourth stack is the first that
+        # spans two subsets
         monkeypatch.setattr(reduction, "_STACK_ENTRIES", 50)
         lengths = _fail_in_stack(monkeypatch, "eig_complex_stack", 3, 3, 1)
         with pytest.raises(ConvergenceError, match="^injected at ") as info:
@@ -966,9 +1037,9 @@ class TestCertifiedWitnesses:
         report = spectrum_power(g, k, "laplacian")
         witnesses = list(report.witnesses)
         matrices = {(w.subset, w.phase.phases) for w in witnesses}
-        # one solve and one certificate per chi class; all but one class
-        # witness a value
-        assert sum(solved) == sum(certified) == 186 and report.budget_used == 2724
+        # one certified solve per chi class and no values-only solve; all but
+        # one class witness a value
+        assert not solved and sum(certified) == 186 and report.budget_used == 2724
         assert len(matrices) == 185
         for w in witnesses:
             pairs = eig_complex_pairs(reduced_matrix(g, k, w.subset, w.phase.phases))
@@ -990,18 +1061,21 @@ class TestCertifiedWitnesses:
 
         for name, into in (("eig_complex_stack", stacks), ("eigvals_complex_stack", solved)):
             monkeypatch.setattr(reduction, name, recording(getattr(reduction, name), into))
+        picked = _record_representatives(monkeypatch)
         report = spectrum_power(g, k, "laplacian")
         keys = {(w.subset, w.phase.phases) for w in report.witnesses}
         sizes = [len(ms[0]) for ms in stacks]
-        assert sum(len(ms) for ms in stacks) == 186 and len(keys) == 185
+        assert sum(len(ms) for ms in stacks) == 186 and len(keys) == 185 and not solved
         assert sorted(sizes) == sorted(set(sizes)) == [1, 2, 3, 4, 5]
 
         def content(m):
             # +0.0 turns -0.0 into 0.0, so equal matrices give equal bytes
             return (np.asarray(m, dtype=complex) + 0.0).tobytes()
 
+        # the certified stacks hold the representatives, each once
+        (representatives,) = picked
         certified = sorted(content(m) for ms in stacks for m in ms)
-        assert certified == sorted(content(m) for ms in solved for m in ms)
+        assert certified == sorted(content(reduced_matrix(g, k, *key)) for key in representatives)
         assert {content(reduced_matrix(g, k, *key)) for key in keys} <= set(certified)
 
     def test_every_tied_rho_row_is_certified(self, monkeypatch):
@@ -1041,24 +1115,30 @@ class TestCertifiedWitnesses:
             merged = _merged(g, k, "L", subset, phases, [p.value for p in pairs])
             if len(subset) == len(merged) == 5:
                 break
-        solve = reduction.eigvals_complex_stack
+        split = linalg.split_solve
+        moved = []
 
-        def moving(ms):
-            # the target is found by content, wherever its stack puts it
-            values = solve(ms)
-            if ms.shape[1:] == matrix.shape:
-                values[(ms == matrix).all(axis=(1, 2)), 0] += 1e-6
-            return values
+        def moving(solve, ms):
+            # the target is found by content, wherever its stack puts it, and
+            # the first value that LAPACK's eig returns for it moves
+            out = split(solve, ms)
+            if solve is np.linalg.eig and ms.shape[1:] == matrix.shape:
+                hit = (ms == matrix).all(axis=(1, 2))
+                original = out[0][hit, 0].tolist()
+                out[0][hit, 0] += 1e-6
+                moved.extend(zip(original, out[0][hit, 0].tolist()))
+            return out
 
-        monkeypatch.setattr(reduction, "eigvals_complex_stack", moving)
+        monkeypatch.setattr(linalg, "split_solve", moving)
         with monkeypatch.context() as uncertified:
-            uncertified.setattr(reduction, "_certify", lambda *args: None)
+            uncertified.setattr(linalg, "BACKWARD_ERROR_TOL", np.inf)
             report = spectrum_power(g, k, "laplacian")
         # the moved value is emitted on its own, witnessed by its matrix
-        moved = eig_complex_pairs(matrix)[0].value + 1e-6
-        w = list(report.witnesses)[report.values.index(moved)]
-        assert (w.subset, w.phase.phases, w.eigenvalue) == (subset, phases, moved)
-        with pytest.raises(ConvergenceError, match="not a certified eigenvalue") as info:
+        ((original, value),) = moved
+        assert original in [p.value for p in pairs]
+        w = list(report.witnesses)[report.values.index(value)]
+        assert (w.subset, w.phase.phases, w.eigenvalue) == (subset, phases, value)
+        with pytest.raises(ConvergenceError, match="residual .* exceeds 1e-9") as info:
             spectrum_power(g, k, "laplacian")
         assert _named_matrix(info.value) == (subset, phases)
 

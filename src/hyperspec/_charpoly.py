@@ -10,23 +10,10 @@ of that image.  Matrices with equal chi have equal images at every prime.
 ``residues`` builds the images at two fixed primes of each k and size s, and
 ``power_sums`` their power sums tr(M^j), j = 1..s, which determine chi mod p
 by Newton's identities since p > s.  They key the chi classes of a spectrum:
-``Firsts`` marks the first matrix of each class.
-
-Only the orbit minima of a bipartite subset need keys (``keyed_rows``).  Let
-G[U] be bipartite, sigma_u = +1 on the side of u0 = min U and -1 on the
-other.  For a phase row l and any c, let l' be l + c sigma re-reduced into
-[0, k/2): l'_u = l_u + c sigma_u - t_u k/2 for integers t_u.  On every edge
-uv of G[U], sigma_u + sigma_v = 0, so w^(l'_u + l'_v) = (-1)^(t_u + t_v)
-w^(l_u + l_v): the matrix of l' is S M S with S = diag((-1)^(t_u)).  Since
-r^(k/2) = -1 mod p, its images are S M S mod p too, with the same power
-sums, so l and l' have one key exactly.  The k/2 shifts c move l_u0
-through every residue, so each orbit holds exactly one row with l_u0 = 0,
-its lexicographic minimum.  u0 is the most significant digit of
-``reduction._class_phases``, so those minima are the first (k/2)^(s-1) rows
-of a block, and each later row shares the key of an earlier one.  A block
-cut by the budget is a prefix of q rows, whose first min(q, (k/2)^(s-1))
-rows hold the minimum of every orbit it meets.  Keying those rows alone,
-``Firsts`` marks the same rows in the same order.  For a class
+``Firsts`` marks the first matrix of each class.  Only the rows that
+``_orbits.keyed_blocks`` keeps need keys: gauge-orbit minima, of subsets
+not isomorphic to an earlier one, that no automorphism sends to an earlier
+row; ``_orbits`` proves that ``Firsts`` marks the same rows.  For a class
 representative, d = s - deg gcd(chi, chi') is its number of distinct
 eigenvalues, and the degrees of the repeated gcds with the derivative give
 their multiplicities, those of Yun's square-free factorisation.  A bad
@@ -54,7 +41,6 @@ import math
 
 import numpy as np
 
-from hyperspec.graphs import LoopedGraph, induces_bipartite
 from hyperspec.linalg import ConvergenceError
 
 __all__ = [
@@ -62,7 +48,6 @@ __all__ = [
     "Firsts",
     "group",
     "group_rows",
-    "keyed_rows",
     "multiplicities",
     "power_sums",
     "primes",
@@ -231,15 +216,6 @@ class Firsts:
                 self.seen.add(key)
                 flags[i] = 1.0
         return flags
-
-
-def keyed_rows(g: LoopedGraph, subset: tuple[int, ...], k: int, quota: int) -> int:
-    """How many leading rows of a block of ``quota`` phase rows of ``subset``
-    ``Firsts`` keys: at most (k/2)^(s-1), the orbit minima, when the subset
-    induces a bipartite subgraph of ``g``, and all of them otherwise."""
-    if induces_bipartite(g, subset):
-        return min(quota, (k // 2) ** (len(subset) - 1))
-    return quota
 
 
 def representatives(blocks: list, marks: np.ndarray, ends: list[int]) -> list:

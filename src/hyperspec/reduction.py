@@ -402,19 +402,16 @@ def _spectrum_report(
     plan, complete, used = _plan_work(g, k, max_subset, budget, identity_only)
     matrices = g.degree_vector(), g.adjacency_matrix()
     # imported on use, so that importing the package does not compile it
-    from hyperspec import _charpoly
+    from hyperspec import _charpoly, _orbits
 
     if identity_only:
         blocks = _identity_blocks([subset for subset, _ in plan])
         values, _ = _solve_blocks(matrices, k, kind, blocks, _symmetric_values)
         rows = _charpoly.value_rows(blocks)
     else:
-        # one matrix per chi class, the first in plan order, which is the
-        # first of its gauge orbit: only the orbit minima are keyed
-        blocks = [
-            (s, _class_phases(len(s), k, range(_charpoly.keyed_rows(g, s, k, quota))))
-            for s, quota in plan
-        ]
+        # one matrix per chi class, the first in plan order: only the rows
+        # that no earlier planned row is similar to are keyed
+        blocks = _orbits.keyed_blocks(g, plan, k)
         firsts = _solve_blocks(matrices, k, kind, blocks, _charpoly.Firsts(k), _charpoly.residues)
         blocks = _charpoly.representatives(blocks, *firsts)
         values, _ = _solve_blocks(matrices, k, kind, blocks, _complex_values)
@@ -443,12 +440,16 @@ def spectrum_power(
     Matrices with one characteristic polynomial chi share their eigenvalues,
     so only the first matrix of each chi class, in plan order, is
     eigensolved.  Matrices are keyed by chi modulo two primes
-    (``hyperspec._charpoly``), from a few exact float64 matrix products: on a
-    subset that induces a bipartite subgraph, only the (k/2)^(s-1) orbit
-    minima of its phase rows, which the k/2 gauge shifts of each row share
-    a key with, and every planned matrix elsewhere.  The earliest matrix
-    with a given eigenvalue is then a class representative, so each value's
-    witness is still the earliest planned matrix that has it.
+    (``hyperspec._charpoly``), from a few exact float64 matrix products,
+    but only those that no earlier planned matrix is sign- or
+    permutation-similar to (``hyperspec._orbits``): on a subset that
+    induces a bipartite subgraph, only the (k/2)^(s-1) orbit minima of its
+    phase rows, which the k/2 gauge shifts of each row share a key with; no
+    row of a subset whose graph, labelled by base degrees, is isomorphic to
+    an earlier subset's; and no row that an automorphism of that labelled
+    graph sends to an earlier row.  The earliest matrix with a given
+    eigenvalue is then a class representative, so each value's witness is
+    still the earliest planned matrix that has it.
     A repeated eigenvalue comes back from LAPACK as several close values,
     scattered by up to about eps^(1/m) when it is defective, which no dedup
     tolerance can tell from distinct values.  So the computed values of a

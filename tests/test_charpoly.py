@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspec import _charpoly, reduction
+from hyperspec import _charpoly, _orbits, reduction
 from hyperspec.graphs import LoopedGraph, complete_graph, connected_subsets, cycle_graph
 from hyperspec.linalg import COMPLEX_CAP, ConvergenceError
 from hyperspec.reduction import phase_classes, spectrum_power
@@ -106,7 +106,7 @@ class TestOrbitKeys:
             assert not np.array_equal(shifted, rows)
             for got, each in zip(keys(g, subset, k, shifted, kind), want):
                 assert np.array_equal(got, each)
-        assert _charpoly.keyed_rows(g, subset, k, len(rows)) == len(rows) // (k // 2)
+        assert _orbits.gauge_rows(g, subset, k, len(rows)) == len(rows) // (k // 2)
 
     def test_an_odd_cycle_has_shifts_that_change_the_power_sums(self):
         g, k, subset = cycle_graph(5), 8, (0, 1, 2, 3, 4)
@@ -118,7 +118,25 @@ class TestOrbitKeys:
             shifted = (rows + np.array((1, *signs))) % (k // 2)
             got = keys(g, subset, k, shifted, "laplacian")
             assert any((a != b).any() for a, b in zip(got, want))
-        assert _charpoly.keyed_rows(g, subset, k, len(rows)) == len(rows)
+        assert _orbits.gauge_rows(g, subset, k, len(rows)) == len(rows)
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
+    @pytest.mark.parametrize(
+        "g, subset, k",
+        [(complete_graph(4), (0, 1, 2), 8), (cycle_graph(5), (0, 1, 2, 3, 4), 6)],
+        ids=["K4-triangle", "C5"],
+    )
+    def test_an_automorphism_keeps_the_power_sums(self, g, subset, k, kind):
+        # m_a = l_(tau(a)) for every automorphism tau of the labelled G[U],
+        # on subsets that no gauge shift covers
+        rows = reduction._class_phases(len(subset), k, range((k // 2) ** len(subset)))
+        want = keys(g, subset, k, rows, kind)
+        maps = _orbits.automorphisms(_orbits.labelled(g, subset))
+        assert len(maps) == {3: 3, 5: 5}[len(subset)]
+        for image in maps:
+            assert not np.array_equal(rows[:, image], rows)
+            for got, each in zip(keys(g, subset, k, rows[:, image], kind), want):
+                assert np.array_equal(got, each)
 
 
 class TestGroupGates:

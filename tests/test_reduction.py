@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspec import _charpoly, linalg, reduction
+from hyperspec import _charpoly, _orbits, linalg, reduction
 from hyperspec.graphs import (
     LoopedGraph,
     complete_graph,
@@ -754,14 +754,15 @@ class TestPrunedAndStackedSolves:
         assert _canonical(chunked) == _canonical(whole)
         assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
         assert all(n == 1 or n * s * s <= 100 for _, n, s, _ in residue_shapes)
-        # the gauge-orbit minima of the 1023 planned matrices get their images
-        # mod p once: K5's bipartite subsets are its 5 vertices, keyed at 1 of
-        # 3 rows, and its 10 edges, at 3 of 9; each class representative is
-        # built once, and solved once with its eigenvectors
+        # of the 1023 planned matrices, only the rows of one subset per size
+        # get their images mod p: its gauge-orbit minima that no automorphism
+        # lowers, the non-decreasing rows of S_s (1, 3, 10, 15 and 21 at
+        # sizes 1 to 5), split into 1, 1, 1, 3 and 6 stacks; each class
+        # representative is built once, and solved once with its eigenvectors
         assert chunked["budget_used"] == 1023
-        assert sum(n for _, n, _, _ in residue_shapes) == 1023 - 5 * 2 - 10 * 6 == 953
+        assert sum(n for _, n, _, _ in residue_shapes) == 1 + 3 + 10 + 15 + 21 == 50
         assert sum(n for n, _, _ in shapes) == sum(certified) == 50 and not solved
-        assert len(shapes) > 10 and len(residue_shapes) > 100
+        assert len(shapes) > 10 and len(residue_shapes) == 12
 
     def test_spectrum_solves_one_stack_per_subset_size(self, monkeypatch):
         g, k = cycle_graph(5), 8
@@ -803,12 +804,18 @@ class TestPrunedAndStackedSolves:
         assert peak < 1.5 * 2**20
 
 
-def _every_row_representatives(g, k, kind, budget):
+def _every_row(g, plan, k):
+    """Every planned phase row, one block per planned subset: what the key
+    pass would key without the orbit cuts."""
+    return [(s, reduction._class_phases(len(s), k, range(quota))) for s, quota in plan]
+
+
+def _every_row_representatives(g, k, kind, budget, max_subset=reduction.DEFAULT_MAX_SUBSET):
     """The chi class representatives of a key pass over every planned row,
-    the oracle of the orbit cut, as (subset, phases) in plan order."""
-    plan, _, _ = reduction._plan_work(g, k, reduction.DEFAULT_MAX_SUBSET, budget)
+    the oracle of the orbit cuts, as (subset, phases) in plan order."""
+    plan, _, _ = reduction._plan_work(g, k, max_subset, budget)
     matrices = g.degree_vector(), g.adjacency_matrix()
-    blocks = [(s, reduction._class_phases(len(s), k, range(quota))) for s, quota in plan]
+    blocks = _every_row(g, plan, k)
     marks = reduction._solve_blocks(
         matrices, k, normalize_kind(kind), blocks, _charpoly.Firsts(k), _charpoly.residues
     )
@@ -816,51 +823,111 @@ def _every_row_representatives(g, k, kind, budget):
     return [(subset, tuple(row)) for subset, phases in picked for row in phases.tolist()]
 
 
-def _assert_the_orbit_cut_changes_nothing(g, k, kind, budget):
+def _assert_the_orbit_cut_changes_nothing(g, k, kind, budget, max_subset=reduction.DEFAULT_MAX_SUBSET):
+    options = {"budget": budget, "max_subset": max_subset}
     with pytest.MonkeyPatch.context() as keys:
         picked = _record_representatives(keys)
-        got = spectrum_power(g, k, kind, budget=budget).to_json_dict()
+        got = spectrum_power(g, k, kind, **options).to_json_dict()
         # the oracle keys every planned row
-        keys.setattr(_charpoly, "keyed_rows", lambda g, subset, k, quota: quota)
-        want = spectrum_power(g, k, kind, budget=budget).to_json_dict()
-    assert picked[0] == picked[1] == _every_row_representatives(g, k, kind, budget)
+        keys.setattr(_orbits, "keyed_blocks", _every_row)
+        want = spectrum_power(g, k, kind, **options).to_json_dict()
+    assert picked[0] == picked[1] == _every_row_representatives(g, k, kind, **options)
     assert got == want
 
 
+def _blocks_by_role(g, k):
+    """The (start, quota) of each planned block at the default budget, in
+    plan order, split into the leaders' blocks and the skipped ones."""
+    plan, _, _ = reduction._plan_work(g, k, reduction.DEFAULT_MAX_SUBSET, 10**6)
+    leaders = {subset for subset, _ in _orbits.keyed_blocks(g, plan, k)}
+    roles, start = {True: [], False: []}, 0
+    for subset, quota in plan:
+        roles[subset in leaders].append((start, quota))
+        start += quota
+    return roles[True], roles[False]
+
+
 class TestOrbitCut:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_keying_the_orbit_minima_keeps_the_representatives(self, data):
+    def test_the_cuts_keep_the_representatives(self, data):
         k = data.draw(st.sampled_from([4, 6, 8]), label="k")
         g = data.draw(connected_graphs(4 if k == 8 else 5), label="graph")
         kind = data.draw(st.sampled_from(["L", "Q", "A"]), label="kind")
-        _, _, planned = reduction._plan_work(g, k, reduction.DEFAULT_MAX_SUBSET, 10**6)
-        # most budgets below the plan end inside a block
-        budget = data.draw(st.integers(1, planned), label="budget")
+        leaders, skipped = _blocks_by_role(g, k)
+        # the budget ends inside a leader's block or a skipped one, as drawn
+        role = data.draw(st.sampled_from(["leader", "skipped"]), label="role")
+        blocks = [block for block in (leaders if role == "leader" else skipped) if block[1] > 1]
+        if blocks:
+            start, quota = data.draw(st.sampled_from(blocks), label="block")
+            budget = start + data.draw(st.integers(1, quota - 1), label="rows")
+        else:
+            budget = 10**6
         _assert_the_orbit_cut_changes_nothing(g, k, kind, budget)
 
     # C6 at k = 8 plans 1364 matrices before the 4096 rows of its whole
-    # cycle, of which the first 1024 are orbit minima: budgets end inside
-    # that block, before and after its last minimum
+    # cycle, of which the first 1024 are gauge-orbit minima: budgets end
+    # inside that block, before and after its last minimum
     @pytest.mark.parametrize("budget", [1364 + 500, 1364 + 2000, 10**6])
     def test_a_cut_bipartite_block_keeps_its_representatives(self, budget):
         _assert_the_orbit_cut_changes_nothing(cycle_graph(6), 8, "L", budget)
 
+    # each budget ends halfway through the last leader's block, or through
+    # the largest skipped block
+    @pytest.mark.parametrize("role", ["leader", "skipped"])
+    @pytest.mark.parametrize(
+        "g, k, kind",
+        [(complete_graph(5), 6, "Q"), (cycle_graph(7), 6, "L"), (_petersen(), 4, "L")],
+        ids=["K5-k6", "C7-k6", "Petersen-k4"],
+    )
+    def test_symmetric_bases_keep_their_representatives(self, g, k, kind, role):
+        leaders, skipped = _blocks_by_role(g, k)
+        start, quota = leaders[-1] if role == "leader" else max(skipped, key=lambda b: b[1])
+        _assert_the_orbit_cut_changes_nothing(g, k, kind, start + quota // 2)
+
+    def test_subsets_with_one_invariant_need_not_be_alike(self):
+        # K3,3 on 0..5 and the triangular prism on 6..11, joined by the
+        # matching u, u + 6: every vertex has base degree 4 and degree 3
+        # inside either half, so the halves share their labels (and the
+        # invariant), but only K3,3 is bipartite; each half is a leader
+        k33 = [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)]
+        prism = [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11), (6, 9), (7, 10), (8, 11)]
+        g = LoopedGraph(12, k33 + prism + [(u, u + 6) for u in range(6)])
+        plan, _, _ = reduction._plan_work(g, 4, 6, 10**6)
+        leaders = {subset for subset, _ in _orbits.keyed_blocks(g, plan, 4)}
+        assert {tuple(range(6)), tuple(range(6, 12))} <= leaders
+        _assert_the_orbit_cut_changes_nothing(g, 4, "L", 10**6, max_subset=6)
+
     @pytest.mark.parametrize(
         "g, k, planned, keyed",
         [
-            (cycle_graph(5), 4, 182, 107),
-            (cycle_graph(5), 8, 2724, 1449),
-            (cycle_graph(7), 6, 9831, 4735),
-            (complete_graph(4), 8, 624, 540),
-            (complete_graph(5), 6, 1023, 953),
+            (cycle_graph(5), 4, 182, 22),
+            (cycle_graph(5), 8, 2724, 220),
+            (cycle_graph(7), 6, 9831, 525),
+            (complete_graph(4), 8, 624, 60),
+            (complete_graph(5), 6, 1023, 50),
         ],
         ids=["C5-k4", "C5-k8", "C7-k6", "K4-k8", "K5-k6"],
     )
     def test_keyed_rows_of_the_ladder_graphs(self, g, k, planned, keyed):
         plan, _, used = reduction._plan_work(g, k, reduction.DEFAULT_MAX_SUBSET, 10**6)
         assert used == planned
-        assert sum(_charpoly.keyed_rows(g, subset, k, quota) for subset, quota in plan) == keyed
+        assert sum(len(phases) for _, phases in _orbits.keyed_blocks(g, plan, k)) == keyed
+
+    def test_a_complete_graph_keys_its_non_decreasing_rows(self):
+        # Aut is S_s on every subset of K_n: one leader per size, whose rows
+        # with l_0 = 0 (the gauge cut, at s <= 2) or all its rows, cut to
+        # the non-decreasing ones
+        g, k = complete_graph(5), 6
+        plan, _, _ = reduction._plan_work(g, k, reduction.DEFAULT_MAX_SUBSET, 10**6)
+        blocks = _orbits.keyed_blocks(g, plan, k)
+        assert [subset for subset, _ in blocks] == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)]
+        for subset, phases in blocks:
+            rows = reduction._class_phases(len(subset), k, range((k // 2) ** len(subset)))
+            rows = rows[(np.diff(rows, axis=1) >= 0).all(axis=1)]
+            if len(subset) <= 2:
+                rows = rows[rows[:, 0] == 0]
+            assert phases.tolist() == rows.tolist()
 
 
 def test_the_enumeration_leaves_no_reference_cycles():
@@ -880,9 +947,10 @@ def test_the_enumeration_leaves_no_reference_cycles():
 
 
 def test_c7_sixth_power_spectrum_memory_is_bounded():
-    # the phases of the 9831 planned matrices as int8, one class mark per
-    # matrix and bounded scratch in every stage: about 3.2 MiB when
-    # measured, set by a stack of images mod p and its powers
+    # the phases of the 525 keyed of the 9831 planned matrices as int8, one
+    # class mark per keyed matrix and bounded scratch in every stage: about
+    # 0.83 MiB when measured, set by the eigenpair solve of the
+    # representatives
     g = cycle_graph(7)
     spectrum_power(g, 6)
     tracemalloc.start()
@@ -1152,9 +1220,8 @@ class TestCertifiedWitnesses:
             return np.nextafter(values.real, np.inf) + 1j * values.imag
 
         monkeypatch.setattr(reduction, "eigvals_complex_stack", nudging)
-        g = cycle_graph(5)
-        assert len(spectrum_power(g, 8, "laplacian").values) > 0
-        assert rho_power(g, 8, "laplacian").value > 0
+        # (spectra solve with eig alone, so only rho_power compares the bits)
+        assert rho_power(cycle_graph(5), 8, "laplacian").value > 0
 
     @pytest.mark.parametrize(
         "g, k", [(cycle_graph(5), 8), (complete_graph(4), 12)], ids=["C5-k8", "K4-k12"]

@@ -31,6 +31,7 @@ from hyperspec.linalg import (
 from hyperspec.reduction import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_SUBSET,
+    KIND_LETTER,
     STRICT_MARGIN,
     RhoResult,
     h_spectrum_power,
@@ -40,6 +41,7 @@ from hyperspec.reduction import (
     uniform_phase_matrix,
 )
 from hyperspec.tensors import TensorOperator, lift_perron, nqz_power_iteration
+from hyperspec.witnesses import JSON_SLICE as _SLICE
 
 __all__ = ["main", "run"]
 
@@ -102,9 +104,6 @@ def _write(parts: Iterable[str], out_path: str | None) -> None:
         sys.stdout.writelines(parts)
 
 
-# list items that the JSON writer encodes at a time
-_SLICE = 256
-
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -133,18 +132,19 @@ def _json_parts(payload: dict) -> Iterator[str]:
 
 def _emit(
     args: argparse.Namespace,
-    payload: dict,
+    json_parts: Iterator[str],
     table: Callable[[], tuple[list[str], list[list]]],
     pretty: Callable[[], list[str]],
 ) -> None:
     """Write a command's result in its ``--format`` to ``--out`` or stdout.
 
-    json is ``payload`` as canonical JSON, written in slices
-    (``_json_parts``); csv is the header and rows that ``table`` returns;
-    pretty is the lines that ``pretty`` returns.
+    json is the canonical JSON text that the generator ``json_parts``
+    yields in pieces, and it is not started for another format; csv is the
+    header and rows that ``table`` returns; pretty is the lines that
+    ``pretty`` returns.
     """
     if args.format == "json":
-        parts = _json_parts(payload)
+        parts = json_parts
     elif args.format == "csv":
         columns, rows = table()
         buf = io.StringIO()
@@ -175,23 +175,21 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     report = compute(
         g, k, args.kind, dedup_tol=args.tol, max_subset=args.max_subset, budget=args.budget
     )
-    payload = report.to_json_dict()
-    # the payload repeats every value and witness of the report, which the
-    # output needs no longer
-    del report
-    values = payload["values"]
+
+    def table() -> tuple[list[str], list[list]]:
+        return ["value_re", "value_im"], [[v.real, v.imag] for v in report.values]
 
     def pretty() -> list[str]:
         lines = [
-            f"{'H-spectrum' if args.h_only else 'spectrum'} kind={payload['kind']} "
-            f"k={payload['k']} complete={payload['complete']}"
+            f"{'H-spectrum' if args.h_only else 'spectrum'} kind={KIND_LETTER[report.kind]} "
+            f"k={report.k} complete={report.complete}"
         ]
-        for re, im in values:
-            lines.append(f"  {_sig7(re)} {'+' if im >= 0 else '-'} {_sig7(abs(im))}i")
+        for v in report.values:
+            lines.append(f"  {_sig7(v.real)} {'+' if v.imag >= 0 else '-'} {_sig7(abs(v.imag))}i")
         return lines
 
-    _emit(args, payload, lambda: (["value_re", "value_im"], values), pretty)
-    return EXIT_OK if payload["complete"] else EXIT_BUDGET
+    _emit(args, report.json_parts(), table, pretty)
+    return EXIT_OK if report.complete else EXIT_BUDGET
 
 
 def _rho_cases(
@@ -334,7 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append("  " + " ".join(parts))
         return lines
 
-    _emit(args, payload, table, pretty)
+    _emit(args, _json_parts(payload), table, pretty)
     if not complete:
         return EXIT_BUDGET
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
@@ -356,7 +354,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     def table() -> tuple[list[str], list[list]]:
         return ["modulus", "solvable"], [[m, entry["solvable"]] for m, entry in entries]
 
-    _emit(args, report, table, pretty)
+    _emit(args, _json_parts(report), table, pretty)
     return EXIT_OK
 
 

@@ -11,10 +11,17 @@ its input, and ``_witness_table`` gathers those inputs from the solved blocks
 into one ``WitnessTable`` of index arrays, which certification and the JSON
 output read as ``SpectrumReport.witnesses``.  Witness objects are built only
 when the table is iterated.
+
+``SpectrumReport.json_parts`` writes a report's canonical JSON straight from
+the table, in slices and with the bytes of its ``to_json_dict``: it formats
+each distinct float magnitude once and each witness matrix's subset and
+phases once, and builds no dict per witness.
 """
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +169,24 @@ def _witness_table(
     return WitnessTable(k, kind, kept, position[matrix], values[indices])
 
 
+# list items that a JSON writer encodes at a time
+JSON_SLICE = 256
+
+
+def _float_texts(z: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The JSON text of each part of the finite complex entries ``z``: the
+    real part of ``z[i]`` is ``texts[index[2 * i]]`` and its imaginary part
+    ``texts[index[2 * i + 1]]``.
+
+    Each distinct magnitude is formatted once; a "-" goes in front where
+    the sign bit is set, so -0.0 keeps its sign.
+    """
+    floats = np.ascontiguousarray(z, complex).view(np.float64)
+    magnitudes, inverse = np.unique(np.abs(floats), return_inverse=True)
+    reprs = list(map(float.__repr__, magnitudes.tolist()))
+    return reprs + ["-" + text for text in reprs], inverse + len(reprs) * np.signbit(floats)
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Deduplicated spectrum, the witness of each value, and enumeration provenance."""
@@ -186,6 +211,49 @@ class SpectrumReport:
             "complete": self.complete,
             "budget_used": self.budget_used,
         }
+
+    def json_parts(self) -> Iterator[str]:
+        """``json.dumps(self.to_json_dict(), sort_keys=True, separators=(",",
+        ":"))`` and a newline, in pieces.
+
+        Values and witnesses are written ``JSON_SLICE`` at a time, so no piece
+        holds more than one slice of either list.  Every float is formatted
+        once per distinct magnitude (``_float_texts``), and the keys after
+        "eigenvalue" of each witness matrix are one string, shared by the
+        witnesses of all its values.
+        """
+        table, letter = self.witnesses, KIND_LETTER[self.kind]
+        head = {
+            "budget_used": self.budget_used,
+            "complete": self.complete,
+            "k": self.k,
+            "kind": letter,
+        }
+        yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"values":['
+        n = len(self.values)
+        texts, index = _float_texts(np.concatenate([self.values, table.eigenvalues]))
+
+        def pairs(lo: int, hi: int) -> list[str]:
+            # "[re,im]" of entries lo to hi - 1 of the values followed by the
+            # witness eigenvalues
+            floats = iter(map(texts.__getitem__, index[2 * lo : 2 * hi].tolist()))
+            return [f"[{re},{im}]" for re, im in zip(floats, floats)]
+
+        for lo in range(0, n, JSON_SLICE):
+            yield ("," if lo else "") + ",".join(pairs(lo, min(lo + JSON_SLICE, n)))
+        yield '],"witnesses":['
+        tails = [
+            f',"k":{self.k},"kind":"{letter}","phases":[{",".join(map(str, phases))}],'
+            f'"subset":[{",".join(map(str, subset))}]}}'
+            for subset, phases in table.matrix_keys()
+        ]
+        for lo in range(0, len(table), JSON_SLICE):
+            rows = map(tails.__getitem__, table.matrix[lo : lo + JSON_SLICE].tolist())
+            witnesses = zip(pairs(n + lo, n + lo + JSON_SLICE), rows)
+            yield ("," if lo else "") + ",".join(
+                [f'{{"eigenvalue":{pair}{tail}' for pair, tail in witnesses]
+            )
+        yield "]}\n"
 
 
 @dataclass(frozen=True)

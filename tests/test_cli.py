@@ -21,7 +21,8 @@ from hyperspec.graphs import (
     path_graph,
 )
 from hyperspec.hypergraphs import from_json_dict
-from hyperspec.linalg import ConvergenceError
+from hyperspec.linalg import ConvergenceError, SpectrumSet
+from hyperspec.witnesses import SpectrumReport, WitnessTable
 
 
 @pytest.fixture
@@ -40,6 +41,14 @@ def square_file(tmp_path):
 
 def run_cli(args):
     return main(args)
+
+
+def canonical_json(report):
+    """The canonical JSON text of a spectrum report, built from its dict."""
+    return json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+PAW = LoopedGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
 
 class TestPowerCommand:
@@ -422,6 +431,60 @@ class TestJsonWriter:
             # long lists are written a slice at a time, never whole
             assert max(map(len, parts)) < len(json.dumps(payload["witnesses"]))
 
+    @pytest.mark.parametrize("h_only", [False, True], ids=["spectrum", "h-spectrum"])
+    @pytest.mark.parametrize("kind", ["A", "L", "Q"])
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(3), cycle_graph(5), complete_graph(4), PAW], ids=["C3", "C5", "K4", "paw"]
+    )
+    def test_spectrum_parts_give_the_bytes_of_its_dict(self, g, k, kind, h_only):
+        compute = reduction.h_spectrum_power if h_only else reduction.spectrum_power
+        report = compute(g, k, kind)
+        assert "".join(report.json_parts()) == canonical_json(report)
+
+    def test_a_budget_cut_spectrum_gives_the_bytes_of_its_dict(self):
+        report = reduction.spectrum_power(cycle_graph(5), 8, "L", budget=500)
+        assert not report.complete and len(report.values) > cli._SLICE
+        assert "".join(report.json_parts()) == canonical_json(report)
+
+    def test_a_long_spectrum_is_written_a_slice_at_a_time(self):
+        report = reduction.spectrum_power(cycle_graph(5), 8, "L")
+        assert len(report.values) == 713
+        parts = list(report.json_parts())
+        assert "".join(parts) == canonical_json(report)
+        witnesses = json.dumps(report.to_json_dict()["witnesses"], separators=(",", ":"))
+        assert max(map(len, parts)) < len(witnesses) / 2
+
+    def test_signed_zeros_and_extreme_floats_keep_their_text(self):
+        # far enough apart at dedup_tol * 1e16 that no two values merge; the
+        # floats run 0.0 before -0.0 in the values and -0.0 before 0.0 in the
+        # witnesses, so a text keyed by value would lose a sign either way
+        values = [
+            complex(0.0, -0.0),
+            complex(-1e16, 1e-05),
+            complex(1e16, -5e-324),
+            complex(-0.0, 1e16),
+            complex(5e-324, -1e16),
+        ]
+        spectrum = SpectrumSet(values)
+        assert len(spectrum) == len(values)
+        blocks = [((0, 1, 2), np.array([[0, 1, 3], [2, 2, 0]])), ((1, 3), np.array([[1, 0]]))]
+        eigenvalues = np.array(
+            [
+                complex(-0.0, 0.0),
+                complex(1e-05, -0.0),
+                complex(0.0, 5e-324),
+                complex(-1e16, -1e-05),
+                complex(-5e-324, -0.0),
+            ]
+        )
+        table = WitnessTable(4, "laplacian", blocks, np.array([2, 0, 1, 0, 2]), eigenvalues)
+        report = SpectrumReport("laplacian", 4, spectrum, table, False, 7)
+        text = "".join(report.json_parts())
+        assert text == canonical_json(report)
+        assert '"values":[[-1e+16,1e-05],[0.0,-0.0],[-0.0,1e+16],' in text
+        assert '{"eigenvalue":[-0.0,0.0],"k":4,"kind":"L","phases":[1,0],"subset":[1,3]}' in text
+
     @pytest.mark.parametrize("command", ["spectrum", "verify", "certificate"])
     def test_stdout_and_out_hold_the_canonical_bytes(
         self, tmp_path, capsys, triangle_file, command
@@ -446,8 +509,8 @@ class TestJsonWriter:
             assert len(payload["values"]) == 713 > 2 * cli._SLICE
 
     def test_c7_spectrum_job_memory_is_bounded(self, tmp_path):
-        # the whole job: enumeration, dedup, certification, the JSON payload
-        # and the sliced writer; about 1.4 MiB when measured
+        # the whole job: enumeration, dedup, certification and the sliced
+        # JSON writer; about 1.1 MiB when measured
         path = tmp_path / "c7.edges"
         path.write_text(format_edge_list(cycle_graph(7)))
         out = tmp_path / "c7.json"
@@ -474,6 +537,19 @@ class TestJsonWriter:
         out = capsys.readouterr().out
         digest = "6bd3f0f6363c0de5466c609a62beeea7ae47b13280383278f2dbbcbff237387d"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+    def test_a_spectrum_is_written_without_its_dict(self, tmp_path, capsys, monkeypatch, triangle_file):
+        def built(*args):
+            raise AssertionError("the JSON dict of a spectrum was built")
+
+        monkeypatch.setattr(SpectrumReport, "to_json_dict", built)
+        monkeypatch.setattr(WitnessTable, "json_dicts", built)
+        argv = _recorded_argv("spectrum", tmp_path, triangle_file)
+        capsys.readouterr()
+        assert run_cli(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == dict(RECORDED)["spectrum --format json"]
 
 
 class TestVerifyCommand:

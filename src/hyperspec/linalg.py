@@ -2,13 +2,11 @@
 
 Eigenvalues come from LAPACK through numpy (Hessenberg reduction plus shifted
 QR underneath); every returned pair is certified a posteriori by its residual,
-and a pair that misses its certificate raises ConvergenceError.  Values-only
-solves certify nothing; their callers certify what they report.  Large
-complex stacks are split into row parts solved at once on the CPUs
-available, one thread per part; every matrix is still solved alone by the
-same LAPACK call, so the values are the same bits at any CPU count.  The
-nonnegative power iteration is written out longhand so it stays an
-independent cross-check of the dense solvers.
+and a pair that misses its certificate raises ConvergenceError.  Every solve
+returns its eigenvectors, so every value it gives is certified, and each
+stack is one numpy call on the calling thread.  The nonnegative power
+iteration is written out longhand so it stays an independent cross-check of
+the dense solvers.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 
 from hyperspec import _dedup
 from hyperspec._dedup import MIN_DEDUP_TOL
-from hyperspec._split import split_solve
 
 __all__ = [
     "ConvergenceError",
@@ -33,7 +30,6 @@ __all__ = [
     "eig_real_symmetric_stack",
     "eig_complex_pairs",
     "eig_complex_stack",
-    "eigvals_complex_stack",
     "spectral_radius",
     "power_iteration_nonneg",
 ]
@@ -137,9 +133,18 @@ def eig_real_symmetric(m: np.ndarray) -> list[EigenPair]:
     return _pairs(eig_real_symmetric_stack(m[None], cap=None), float)
 
 
-def _complex_stack(ms: np.ndarray) -> np.ndarray:
-    """``ms`` as a complex (N, n, n) stack, checked for shape, finiteness and
-    a dimension of at most ``COMPLEX_CAP`` (64)."""
+def eig_complex_stack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified eigenpairs of a stack of general complex matrices of dimension
+    at most ``COMPLEX_CAP`` (64).
+
+    Returns ``(values, vectors, residuals)`` of shapes (N, n), (N, n, n) and
+    (N, n): each row of values sorted by (real, imag), column j of
+    ``vectors[i]`` the max-norm-1 eigenvector of ``values[i, j]``, and its
+    residual relative to the matrix norm.  Raises ValueError for a stack that
+    is not square, a dimension above the cap or a non-finite entry, and
+    ConvergenceError if a residual misses the 1e-9 certificate; its
+    ``index`` is the position of the matrix in the stack.
+    """
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError("expected square matrices")
@@ -148,44 +153,8 @@ def _complex_stack(ms: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix dimension {n} exceeds cap {COMPLEX_CAP}")
     if not np.all(np.isfinite(ms)):
         raise ValueError("matrix entries must be finite")
-    return ms
-
-
-def eigvals_complex_stack(ms: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of general complex matrices, without vectors.
-
-    Returns an (N, n) array, each row sorted by (real, imag), after the input
-    checks of :func:`eig_complex_stack`.  The values are uncertified but bit
-    for bit ``eig_complex_stack(ms)[0]``: numpy's ``eigvals`` and ``eig``
-    both run zgeev, whose eigenvalues come from zlahqr for every n < 75
-    whether or not vectors are asked for.  For solves whose values are
-    mostly discarded: ``rho_power`` solves its unpruned classes with it and
-    certifies only the rows it reports.
-    Large stacks are solved in row parts on threads (``split_solve``); each
-    matrix is still one zgeev call on the same bytes, so the values are the
-    same bits at any CPU count.
-    """
-    # numpy orders complex values by (real, imag); stable keeps ties as eig's
-    values = split_solve(np.linalg.eigvals, _complex_stack(ms))
-    return np.sort(values, axis=-1, kind="stable")
-
-
-def eig_complex_stack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Certified eigenpairs of a stack of general complex matrices of dimension
-    at most ``COMPLEX_CAP`` (64).
-
-    Returns ``(values, vectors, residuals)`` of shapes (N, n), (N, n, n) and
-    (N, n): each row of values sorted by (real, imag), column j of
-    ``vectors[i]`` the max-norm-1 eigenvector of ``values[i, j]``, and its
-    residual relative to the matrix norm.  A residual above 1e-9 raises
-    ConvergenceError whose ``index`` is the position of its matrix in the
-    stack.  The ``np.linalg.eig`` call is split across threads as in
-    :func:`eigvals_complex_stack`, with the same bits at any CPU count; the
-    sort and residuals run on the calling thread.
-    """
-    ms = _complex_stack(ms)
-    values, vectors = split_solve(np.linalg.eig, ms)
-    if ms.shape[1] == 0:
+    values, vectors = np.linalg.eig(ms)
+    if n == 0:
         return values, vectors, np.zeros(values.shape)
     # lexsort is stable, so equal keys keep LAPACK's order as sorted() would
     order = np.lexsort((values.imag, values.real), axis=-1)

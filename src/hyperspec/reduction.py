@@ -17,7 +17,6 @@ import numpy as np
 
 from hyperspec.graphs import LoopedGraph, as_subset, connected_subsets
 from hyperspec.linalg import (
-    BACKWARD_ERROR_TOL,
     DEFAULT_DEDUP_TOL as DEDUP_TOL,
     ConvergenceError,
     SpectrumSet,
@@ -25,7 +24,6 @@ from hyperspec.linalg import (
     eig_complex_stack,
     eig_real_symmetric,
     eig_real_symmetric_stack,
-    eigvals_complex_stack,
 )
 from hyperspec.witnesses import (
     KIND_LETTER,
@@ -303,45 +301,6 @@ def _complex_values(stack: np.ndarray) -> np.ndarray:
     return eig_complex_stack(stack)[0]
 
 
-def _certify(matrices: tuple[np.ndarray, np.ndarray], table: WitnessTable) -> None:
-    """Certify every eigenvalue of ``table`` against its witness matrix.
-
-    The table holds rho_power's tied rows, solved for values only, before
-    their groups are merged, so each value it reports is a certified value
-    or the mean of a group of them.  (Spectra solve their representatives
-    with ``eig_complex_stack`` alone.)  The witness matrices, rebuilt by
-    subset size in ``_solve_blocks``, are solved with ``eig_complex_stack``,
-    and each value must lie within 1e-9 of a certified eigenvalue of its
-    matrix, relative to max(1, the matrix norm) (they are the same bits on
-    current LAPACK builds); the values of one matrix size are checked in one
-    gather.  A failure raises ConvergenceError naming the subset and phases
-    of the first failing matrix in table order.
-    """
-
-    def certified(stack: np.ndarray) -> np.ndarray:
-        # the certified eigenvalues of each matrix, then max(1, its norm)
-        norms = np.maximum(1.0, np.abs(stack).sum(axis=2).max(axis=1))
-        return np.column_stack((eig_complex_stack(stack)[0], norms))
-
-    solved, _ = _solve_blocks(matrices, table.k, table.kind, table.blocks, certified)
-    # each matrix's row of solved: its eigenvalues, then its norm
-    sizes = [len(subset) for subset, _ in table.blocks]
-    widths = np.repeat(sizes, [len(phases) for _, phases in table.blocks]) + 1
-    # where the row of each value's matrix starts, and its width
-    start, width = (np.cumsum(widths) - widths)[table.matrix], widths[table.matrix]
-    failed = np.zeros(len(table), bool)
-    for size in set(sizes):
-        at = np.flatnonzero(width == size + 1)
-        rows = solved[start[at, None] + np.arange(size + 1)]
-        gaps = np.abs(table.eigenvalues[at, None] - rows[:, :-1]).min(axis=1)
-        failed[at] = gaps > BACKWARD_ERROR_TOL * rows[:, -1].real
-    if failed.any():
-        raise ConvergenceError(
-            "a reported eigenvalue is not a certified eigenvalue at "
-            "subset {}, phases {}".format(*table.matrix_keys()[table.matrix[failed].min()])
-        )
-
-
 # the slack delta of the per-class bounds (||M^8|| + delta ||M||^8)^(1/8);
 # rho_power derives it
 _GELFAND_SLACK = 1e-9
@@ -530,10 +489,10 @@ def rho_power(
     cannot reach the final one either; the maximum and the tied set (every
     row at or above the final threshold, with its witness the minimum of
     unique keys) do not depend on the order of the solves.  The result is
-    therefore the one of the unpruned enumeration.  Solves are values-only,
-    and ``_certify`` certifies every tied row at the end; the other solved
-    matrices rest on the backward stability of the eigensolver, and pruned
-    ones on their certified bound.  The tied rows' values are then merged
+    therefore the one of the unpruned enumeration.  Every solved row is
+    certified: each unpruned class is solved with ``eig_complex_stack``,
+    whose 1e-9 residual gate checks every pair as it is solved, and pruned
+    ones rest on their certified bound.  The tied rows' values are then merged
     into the means of their chi groups, as spectra merge them, wherever a
     group can reach the row's largest modulus (the tie band, ``TIE_TOL``
     relative, lies well inside that reach), and the maximum and the ties
@@ -582,7 +541,7 @@ def rho_power(
 
     def solve(block: Block) -> None:
         nonlocal top, threshold
-        values, _ = _solve_blocks(matrices, k, kind, [block], eigvals_complex_stack)
+        values, _ = _solve_blocks(matrices, k, kind, [block], _complex_values)
         values = values.reshape(len(block[1]), -1)
         solved.append((block, values))
         # np.hypot rounds exactly like abs() on a Python complex
@@ -619,7 +578,6 @@ def rho_power(
     from hyperspec import _charpoly
 
     table = WitnessTable(k, kind, blocks, _charpoly.value_rows(blocks), np.concatenate(rows))
-    _certify(matrices, table)
     # the maximum is read from each row's groups' means, so a scattered
     # defective eigenvalue cannot overstate it
     points, of = _charpoly.group_rows(matrices, k, kind, blocks, table.eigenvalues, top_only=True)

@@ -8,9 +8,9 @@ them and re-exports every name here.
 
 Dedup keeps one witness per reported value: ``SpectrumSet.sources`` names
 its input, and ``_witness_table`` gathers those inputs from the solved blocks
-into one ``WitnessTable`` of index arrays, which certification and the JSON
-output read as ``SpectrumReport.witnesses``.  Witness objects are built only
-when the table is iterated.
+into one ``WitnessTable`` of index arrays, which the JSON output reads as
+``SpectrumReport.witnesses``.  Witness objects are built only when the table
+is iterated.
 
 ``SpectrumReport.json_parts`` writes a report's canonical JSON straight from
 the table, in slices and with the bytes of its ``to_json_dict``: it formats

@@ -1,6 +1,5 @@
 import math
 import random
-import threading
 import tracemalloc
 
 import numpy as np
@@ -8,13 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperspec import _dedup, _split, linalg, reduction
-from hyperspec.cli import main
+from hyperspec import _dedup, reduction
 from hyperspec.graphs import (
-    complete_graph,
     connected_subsets,
     cycle_graph,
-    format_edge_list,
 )
 from hyperspec.linalg import (
     COMPLEX_CAP,
@@ -26,7 +22,6 @@ from hyperspec.linalg import (
     eig_complex_stack,
     eig_real_symmetric,
     eig_real_symmetric_stack,
-    eigvals_complex_stack,
     power_iteration_nonneg,
     spectral_radius,
 )
@@ -146,24 +141,31 @@ class TestEigComplexPairs:
         with pytest.raises(ValueError):
             eig_complex_pairs(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
+    @pytest.mark.parametrize(
+        "ms, message",
+        [
+            (np.eye(3, dtype=complex), "square"),
+            (np.ones((1, 2, 3)), "square"),
+            (np.eye(COMPLEX_CAP + 1, dtype=complex)[None], "cap"),
+            (np.array([[[np.inf, 0], [0, 1]]], dtype=complex), "finite"),
+        ],
+    )
+    def test_a_stack_rejects_bad_input(self, ms, message):
+        with pytest.raises(ValueError, match=message):
+            eig_complex_stack(ms)
 
-def hex_rows(values):
-    """Each value of a stack of eigenvalue rows as its float.hex pair."""
-    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in values.tolist()]
+    def test_stack_rows_are_sorted_by_real_then_imaginary_part(self):
+        values = eig_complex_stack(np.diag([1j, -1j, 2.0, -1.0 + 0.5j])[None])[0]
+        assert values.tolist() == [[-1.0 + 0.5j, -1j, 1j, 2.0]]
 
 
 @st.composite
-def complex_symmetric_stacks(draw, split=False):
+def complex_symmetric_stacks(draw):
     """A few complex symmetric matrices of one size up to COMPLEX_CAP: Gaussian
     entries, or D - E A E for a random graph and random 12th roots of unity,
-    which are often nearly defective, or the real D - A of the zero phases.
-    With ``split``, enough of them for three parts of a split solve."""
+    which are often nearly defective, or the real D - A of the zero phases."""
     n = draw(st.integers(0, COMPLEX_CAP))
-    if split:
-        rows = -(-_split._MIN_PART // max(1, n))
-        count = draw(st.integers(3 * rows, 4 * rows))
-    else:
-        count = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 3))
     family = draw(st.sampled_from(["gaussian", "phased", "real"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if family == "gaussian":
@@ -179,68 +181,6 @@ def complex_symmetric_stacks(draw, split=False):
     return diag - units[:, :, None] * units[:, None, :] * a
 
 
-class TestEigvalsComplexStack:
-    """The values-only solver returns the values of eig_complex_stack bit for bit.
-
-    numpy's ``eigvals`` and ``eig`` both run LAPACK's zgeev.  For every
-    n < 75, and COMPLEX_CAP is 64, zgeev computes the eigenvalues with zlahqr,
-    and asking for eigenvectors only adds work outside zlahqr's active block:
-    the Schur update of the rows and columns beyond it and the accumulated
-    transformations.  The values are therefore the same bits: rho_power
-    reports values-only eigenvalues while certifying them with
-    eig_complex_stack, and spectra, once solved for values only, report
-    eig_complex_stack's values with the same bytes.  A numpy or LAPACK
-    upgrade that breaks this premise fails here instead of silently moving
-    output bytes.
-    """
-
-    @settings(max_examples=60)
-    @given(ms=complex_symmetric_stacks())
-    def test_matches_the_pair_solver_bit_for_bit(self, ms):
-        assert hex_rows(eigvals_complex_stack(ms)) == hex_rows(eig_complex_stack(ms)[0])
-
-    def test_matches_the_pair_solver_on_the_c7_sixth_power_stacks(self, monkeypatch):
-        stacks = {"eigvals_complex_stack": [], "eig_complex_stack": []}
-
-        def recording(solve, into):
-            def record(ms):
-                into.append(ms)
-                return solve(ms)
-
-            return record
-
-        for name, into in stacks.items():
-            monkeypatch.setattr(reduction, name, recording(getattr(reduction, name), into))
-        # rho_power solves its unpruned classes for values only, and the
-        # spectrum one representative per chi class with eig_complex_stack
-        result = reduction.rho_power(cycle_graph(7), 6, "L")
-        report = reduction.spectrum_power(cycle_graph(7), 6, "L")
-        values_only, paired = stacks.values()
-        assert sum(len(ms) for ms in values_only) == 127 and result.budget_used == 9831
-        assert sum(len(ms) for ms in paired) == 14 + 400 and report.budget_used == 9831
-        for ms in values_only + paired:
-            assert hex_rows(eigvals_complex_stack(ms)) == hex_rows(eig_complex_stack(ms)[0])
-
-    def test_rows_are_sorted_by_real_then_imaginary_part(self):
-        values = eigvals_complex_stack(np.diag([1j, -1j, 2.0, -1.0 + 0.5j])[None])
-        assert values.tolist() == [[-1.0 + 0.5j, -1j, 1j, 2.0]]
-
-    @pytest.mark.parametrize(
-        "ms, message",
-        [
-            (np.eye(3, dtype=complex), "square"),
-            (np.ones((1, 2, 3)), "square"),
-            (np.eye(COMPLEX_CAP + 1, dtype=complex)[None], "cap"),
-            (np.array([[[np.inf, 0], [0, 1]]], dtype=complex), "finite"),
-        ],
-    )
-    def test_rejects_what_the_pair_solver_rejects(self, ms, message):
-        with pytest.raises(ValueError, match=message):
-            eigvals_complex_stack(ms)
-        with pytest.raises(ValueError, match=message):
-            eig_complex_stack(ms)
-
-
 class TestResidualGate:
     """eig_complex_stack returns LAPACK's pairs or raises; it never repairs one.
 
@@ -251,19 +191,30 @@ class TestResidualGate:
     """
 
     def test_a_pair_that_misses_its_certificate_raises_with_its_matrix(self, monkeypatch):
-        solve = linalg.split_solve
+        eig = np.linalg.eig
 
-        def perturbed(eig, ms):
-            values, vectors = solve(eig, ms)
+        def perturbed(ms):
+            values, vectors = eig(ms)
             vectors[3, :, 1] += 1e-3
             return values, vectors
 
-        monkeypatch.setattr(linalg, "split_solve", perturbed)
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
         rng = np.random.default_rng(11)
         ms = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
         with pytest.raises(ConvergenceError, match="exceeds 1e-9") as info:
             eig_complex_stack(ms)
         assert info.value.index == 3
+
+    @settings(max_examples=60)
+    @given(ms=complex_symmetric_stacks())
+    def test_random_complex_symmetric_stacks_clear_it(self, ms):
+        values, vectors, residuals = eig_complex_stack(ms)
+        assert residuals.max(initial=0.0) < 1e-12
+        # rows sorted by (real, imag), each vector scaled to max-norm 1 (the
+        # complex quotient of the pivot by itself may round one ulp below 1)
+        pairs = [list(zip(row.real, row.imag)) for row in values]
+        assert pairs == [sorted(row) for row in pairs]
+        assert np.allclose(np.abs(vectors).max(axis=1, initial=0.0), 1.0, rtol=0, atol=2**-52)
 
     @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
     def test_every_reduced_matrix_of_the_c5_fourth_power_clears_it(self, kind):
@@ -290,127 +241,6 @@ class TestResidualGate:
     )
     def test_defective_matrices_clear_it(self, m):
         assert eig_complex_stack(m[None])[2].max() < 1e-12
-
-
-# the CPU counts a split solve is checked at: serial, two and three parts,
-# and the count of this host
-CPU_COUNTS = (1, 2, 3, _split._cpu_count())
-
-
-def count_thread_starts(mp: pytest.MonkeyPatch) -> list:
-    """Record every threading.Thread.start call from now on; returns the record."""
-    starts = []
-    start = threading.Thread.start
-
-    def counting(thread):
-        starts.append(thread)
-        start(thread)
-
-    mp.setattr(threading.Thread, "start", counting)
-    return starts
-
-
-def at_each_cpu_count(solve):
-    """``solve()`` with the CPU count of each of CPU_COUNTS, and the number of
-    threads each call started."""
-    results = []
-    for cpus in CPU_COUNTS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_split, "_cpu_count", lambda: cpus)
-            starts = count_thread_starts(mp)
-            baseline = threading.active_count()
-            results.append((solve(), len(starts)))
-            assert threading.active_count() == baseline
-    return results
-
-
-def hex_stack(values):
-    """float.hex of every entry of a complex array, rows flattened."""
-    return hex_rows(values.reshape(len(values), -1))
-
-
-class TestSplitSolve:
-    """Stacks split over threads give the bits of the serial solve.
-
-    Each matrix is solved alone by the same LAPACK call on the same bytes
-    whatever the number of parts, so the results must be equal by float.hex
-    at every CPU count; and no thread may outlive a call.
-    """
-
-    @settings(max_examples=12)
-    @given(ms=complex_symmetric_stacks(split=True))
-    def test_values_are_the_same_bits_at_any_cpu_count(self, ms):
-        runs = at_each_cpu_count(lambda: hex_rows(eigvals_complex_stack(ms)))
-        assert [started for _, started in runs] == [c - 1 for c in CPU_COUNTS]
-        assert all(values == runs[0][0] for values, _ in runs)
-
-    @settings(max_examples=12)
-    @given(ms=complex_symmetric_stacks(split=True))
-    def test_pairs_are_the_same_bits_at_any_cpu_count(self, ms):
-        runs = at_each_cpu_count(lambda: list(map(hex_stack, eig_complex_stack(ms))))
-        assert [started for _, started in runs] == [c - 1 for c in CPU_COUNTS]
-        assert all(pairs == runs[0][0] for pairs, _ in runs)
-
-    def test_c7_sixth_power_spectrum_bytes_at_any_cpu_count(self, tmp_path):
-        graph = tmp_path / "c7.edges"
-        graph.write_text(format_edge_list(cycle_graph(7)))
-        out = tmp_path / "c7-k6.json"
-
-        def spectrum():
-            assert main(["spectrum", "--input", str(graph), "--k", "6", "--out", str(out)]) == 0
-            return out.read_bytes()
-
-        runs = at_each_cpu_count(spectrum)
-        assert runs[0][1] == 0 and all(started > 0 for _, started in runs[1:])
-        assert all(data == runs[0][0] for data, _ in runs)
-
-    def test_a_failing_later_part_reaches_the_caller_unchanged(self, monkeypatch):
-        # row i carries i, so each part knows its first row
-        ms = np.zeros((3 * _split._MIN_PART, 1, 1), dtype=complex)
-        ms[:, 0, 0] = np.arange(len(ms))
-        raised = {}
-        eigvals = np.linalg.eigvals
-
-        def failing(part):
-            first = int(part[0, 0, 0].real)
-            if first > 0:
-                raised[first] = np.linalg.LinAlgError(f"part at row {first}")
-                raise raised[first]
-            return eigvals(part)
-
-        monkeypatch.setattr(np.linalg, "eigvals", failing)
-        monkeypatch.setattr(_split, "_cpu_count", lambda: 3)
-        baseline = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError) as caught:
-            eigvals_complex_stack(ms)
-        assert sorted(raised) == [_split._MIN_PART, 2 * _split._MIN_PART]
-        assert caught.value is raised[_split._MIN_PART]
-        assert threading.active_count() == baseline
-
-    def test_a_nonfinite_stack_is_rejected_before_any_thread_starts(self, monkeypatch):
-        ms = np.ones((4 * _split._MIN_PART, 1, 1), dtype=complex)
-        ms[-1, 0, 0] = np.nan
-        monkeypatch.setattr(_split, "_cpu_count", lambda: 4)
-        starts = count_thread_starts(monkeypatch)
-        for solve in (eigvals_complex_stack, eig_complex_stack):
-            with pytest.raises(ValueError, match="finite"):
-                solve(ms)
-        assert starts == []
-
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda: reduction.rho_power(cycle_graph(5), 8, "L"),
-            lambda: reduction.rho_power(complete_graph(4), 12, "L"),
-            lambda: reduction.h_spectrum_power(complete_graph(8), 4, "L"),
-        ],
-        ids=["rho C5 k=8", "rho K4 k=12", "h-spectrum K8 k=4"],
-    )
-    def test_pruned_and_symmetric_solves_start_no_thread(self, monkeypatch, run):
-        monkeypatch.setattr(_split, "_cpu_count", lambda: 4)
-        starts = count_thread_starts(monkeypatch)
-        run()
-        assert starts == []
 
 
 class TestSpectralRadius:

@@ -602,17 +602,17 @@ def connected_graphs(draw, max_vertices):
     return LoopedGraph(n, [(label[u], label[v]) for u, v in sorted(tree | extra)])
 
 
-def _count_solved_rows(monkeypatch, solver="eigvals_complex_stack"):
-    """Route reduction's calls of ``solver``, by default its values-only
-    complex solves, through a counter of solved rows."""
+def _count_solved_rows(monkeypatch):
+    """Route reduction's complex solves, each with its certified pairs,
+    through a counter of solved rows."""
     rows = []
-    solve = getattr(reduction, solver)
+    solve = reduction.eig_complex_stack
 
     def counting(ms, *args, **kwargs):
         rows.append(len(ms))
         return solve(ms, *args, **kwargs)
 
-    monkeypatch.setattr(reduction, solver, counting)
+    monkeypatch.setattr(reduction, "eig_complex_stack", counting)
     return rows
 
 
@@ -748,8 +748,7 @@ class TestPrunedAndStackedSolves:
         build = recording(reduction._phased_matrices, shapes)
         monkeypatch.setattr(reduction, "_phased_matrices", build)
         monkeypatch.setattr(_charpoly, "Firsts", Keys)
-        solved = _count_solved_rows(monkeypatch)
-        certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
+        certified = _count_solved_rows(monkeypatch)
         chunked = spectrum_power(g, 6, "laplacian").to_json_dict()
         assert _canonical(chunked) == _canonical(whole)
         assert all(n == 1 or n * s * s <= 100 for n, s, _ in shapes)
@@ -761,12 +760,12 @@ class TestPrunedAndStackedSolves:
         # representative is built once, and solved once with its eigenvectors
         assert chunked["budget_used"] == 1023
         assert sum(n for _, n, _, _ in residue_shapes) == 1 + 3 + 10 + 15 + 21 == 50
-        assert sum(n for n, _, _ in shapes) == sum(certified) == 50 and not solved
+        assert sum(n for n, _, _ in shapes) == sum(certified) == 50
         assert len(shapes) > 10 and len(residue_shapes) == 12
 
     def test_spectrum_solves_one_stack_per_subset_size(self, monkeypatch):
         g, k = cycle_graph(5), 8
-        rows = _count_solved_rows(monkeypatch, "eig_complex_stack")
+        rows = _count_solved_rows(monkeypatch)
         report = spectrum_power(g, k, "laplacian")
         # 21 connected subsets in five sizes; each size's representatives fit
         # in one stack: one per chi class, 186 of the 2724 planned matrices
@@ -1100,14 +1099,12 @@ class TestFailedRowsAreNamed:
 class TestCertifiedWitnesses:
     def test_every_representative_is_certified(self, monkeypatch):
         g, k = cycle_graph(5), 8
-        solved = _count_solved_rows(monkeypatch)
-        certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
+        certified = _count_solved_rows(monkeypatch)
         report = spectrum_power(g, k, "laplacian")
         witnesses = list(report.witnesses)
         matrices = {(w.subset, w.phase.phases) for w in witnesses}
-        # one certified solve per chi class and no values-only solve; all but
-        # one class witness a value
-        assert not solved and sum(certified) == 186 and report.budget_used == 2724
+        # one certified solve per chi class; all but one class witness a value
+        assert sum(certified) == 186 and report.budget_used == 2724
         assert len(matrices) == 185
         for w in witnesses:
             pairs = eig_complex_pairs(reduced_matrix(g, k, w.subset, w.phase.phases))
@@ -1118,22 +1115,19 @@ class TestCertifiedWitnesses:
 
     def test_the_representatives_are_certified_in_one_stack_per_size(self, monkeypatch):
         g, k = cycle_graph(5), 8
-        stacks, solved = [], []
+        stacks = []
+        solve = reduction.eig_complex_stack
 
-        def recording(solve, into):
-            def record(ms):
-                into.append(ms.copy())
-                return solve(ms)
+        def recording(ms):
+            stacks.append(ms.copy())
+            return solve(ms)
 
-            return record
-
-        for name, into in (("eig_complex_stack", stacks), ("eigvals_complex_stack", solved)):
-            monkeypatch.setattr(reduction, name, recording(getattr(reduction, name), into))
+        monkeypatch.setattr(reduction, "eig_complex_stack", recording)
         picked = _record_representatives(monkeypatch)
         report = spectrum_power(g, k, "laplacian")
         keys = {(w.subset, w.phase.phases) for w in report.witnesses}
         sizes = [len(ms[0]) for ms in stacks]
-        assert sum(len(ms) for ms in stacks) == 186 and len(keys) == 185 and not solved
+        assert sum(len(ms) for ms in stacks) == 186 and len(keys) == 185
         assert sorted(sizes) == sorted(set(sizes)) == [1, 2, 3, 4, 5]
 
         def content(m):
@@ -1149,15 +1143,17 @@ class TestCertifiedWitnesses:
     def test_every_tied_rho_row_is_certified(self, monkeypatch):
         g, k, tie_tol = complete_graph(4), 6, 0.05
         monkeypatch.setattr(reduction, "TIE_TOL", tie_tol)
-        certified = _count_solved_rows(monkeypatch, "eig_complex_stack")
+        certified = _count_solved_rows(monkeypatch)
         reported = []
-        certify = reduction._certify
+        table_of = reduction.WitnessTable
 
-        def recording(matrices, table):
+        def recording(*args):
+            # the table of the tied rows, before their groups are merged
+            table = table_of(*args)
             reported.append(_values_by_matrix(table))
-            return certify(matrices, table)
+            return table
 
-        monkeypatch.setattr(reduction, "_certify", recording)
+        monkeypatch.setattr(reduction, "WitnessTable", recording)
         result = rho_power(g, k, "laplacian")
         # tied: every planned matrix whose top modulus reaches the final threshold
         threshold = result.value - tie_tol * max(1.0, result.value)
@@ -1168,7 +1164,8 @@ class TestCertifiedWitnesses:
                 tied[(subset, phases)] = pairs
         (rows,) = reported
         assert rows.keys() == tied.keys()
-        assert sum(certified) == len(tied) > 1
+        # every tied row was solved, with its certified pairs, among others
+        assert sum(certified) >= len(tied) > 1
         for key, pairs in tied.items():
             assert _hex(rows[key]) == _hex(p.value for p in pairs)
             assert all(p.residual <= 1e-9 for p in pairs)
@@ -1183,21 +1180,21 @@ class TestCertifiedWitnesses:
             merged = _merged(g, k, "L", subset, phases, [p.value for p in pairs])
             if len(subset) == len(merged) == 5:
                 break
-        split = linalg.split_solve
+        eig = np.linalg.eig
         moved = []
 
-        def moving(solve, ms):
+        def moving(ms):
             # the target is found by content, wherever its stack puts it, and
             # the first value that LAPACK's eig returns for it moves
-            out = split(solve, ms)
-            if solve is np.linalg.eig and ms.shape[1:] == matrix.shape:
+            values, vectors = eig(ms)
+            if ms.shape[1:] == matrix.shape:
                 hit = (ms == matrix).all(axis=(1, 2))
-                original = out[0][hit, 0].tolist()
-                out[0][hit, 0] += 1e-6
-                moved.extend(zip(original, out[0][hit, 0].tolist()))
-            return out
+                original = values[hit, 0].tolist()
+                values[hit, 0] += 1e-6
+                moved.extend(zip(original, values[hit, 0].tolist()))
+            return values, vectors
 
-        monkeypatch.setattr(linalg, "split_solve", moving)
+        monkeypatch.setattr(np.linalg, "eig", moving)
         with monkeypatch.context() as uncertified:
             uncertified.setattr(linalg, "BACKWARD_ERROR_TOL", np.inf)
             report = spectrum_power(g, k, "laplacian")
@@ -1210,32 +1207,52 @@ class TestCertifiedWitnesses:
             spectrum_power(g, k, "laplacian")
         assert _named_matrix(info.value) == (subset, phases)
 
-    def test_a_last_bit_difference_is_still_certified(self, monkeypatch):
-        # a LAPACK build whose eigvals and eig differ in the last bit must not
-        # turn every reported value into a certificate failure
-        solve = reduction.eigvals_complex_stack
-
-        def nudging(ms):
-            values = solve(ms)
-            return np.nextafter(values.real, np.inf) + 1j * values.imag
-
-        monkeypatch.setattr(reduction, "eigvals_complex_stack", nudging)
-        # (spectra solve with eig alone, so only rho_power compares the bits)
-        assert rho_power(cycle_graph(5), 8, "laplacian").value > 0
-
     @pytest.mark.parametrize(
         "g, k", [(cycle_graph(5), 8), (complete_graph(4), 12)], ids=["C5-k8", "K4-k12"]
     )
     def test_a_pushed_up_rho_row_is_caught(self, monkeypatch, g, k):
         want = rho_power(g, k, "laplacian").witness
-        solve = reduction.eigvals_complex_stack
+        eig = np.linalg.eig
 
         def pushing(ms):
-            values = solve(ms)
-            values[np.argmax(np.abs(values).max(axis=1))] *= 1 + 1e-6
-            return values
+            # the top value that LAPACK's eig returns for the stack moves up
+            values, vectors = eig(ms)
+            values.flat[np.argmax(np.abs(values))] *= 1 + 1e-6
+            return values, vectors
 
-        monkeypatch.setattr(reduction, "eigvals_complex_stack", pushing)
-        with pytest.raises(ConvergenceError, match="not a certified eigenvalue") as info:
+        monkeypatch.setattr(np.linalg, "eig", pushing)
+        with pytest.raises(ConvergenceError, match="residual .* exceeds 1e-9") as info:
             rho_power(g, k, "laplacian")
         assert _named_matrix(info.value) == (want.subset, want.phase.phases)
+
+    def test_an_untied_rho_row_that_misses_its_certificate_is_caught(self, monkeypatch):
+        g, k = complete_graph(5), 6
+        solved = []
+        solve = reduction.eig_complex_stack
+
+        def recording(ms):
+            out = solve(ms)
+            solved.extend(zip(ms.copy(), np.abs(out[0]).max(axis=1)))
+            return out
+
+        with monkeypatch.context() as recorded:
+            recorded.setattr(reduction, "eig_complex_stack", recording)
+            result = rho_power(g, k, "laplacian")
+        # a solved matrix whose top modulus stays below the final threshold
+        threshold = result.value - reduction.TIE_TOL * max(1.0, result.value)
+        untied = [m for m, top in solved if top < threshold]
+        assert len(solved) == 32 and untied
+        target = untied[-1]
+        eig = np.linalg.eig
+
+        def perturbed(ms):
+            values, vectors = eig(ms)
+            if ms.shape[1:] == target.shape:
+                vectors[(ms == target).all(axis=(1, 2)), 0, 0] += 1e-3
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        with pytest.raises(ConvergenceError, match="residual .* exceeds 1e-9") as info:
+            rho_power(g, k, "laplacian")
+        subset, phases = _named_matrix(info.value)
+        assert (reduced_matrix(g, k, subset, phases) == target).all()

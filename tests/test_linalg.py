@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,9 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperspec import _dedup, reduction
+from hyperspec.cli import main
 from hyperspec.graphs import (
+    complete_graph,
     connected_subsets,
     cycle_graph,
+    format_edge_list,
 )
 from hyperspec.linalg import (
     COMPLEX_CAP,
@@ -141,23 +146,6 @@ class TestEigComplexPairs:
         with pytest.raises(ValueError):
             eig_complex_pairs(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
-    @pytest.mark.parametrize(
-        "ms, message",
-        [
-            (np.eye(3, dtype=complex), "square"),
-            (np.ones((1, 2, 3)), "square"),
-            (np.eye(COMPLEX_CAP + 1, dtype=complex)[None], "cap"),
-            (np.array([[[np.inf, 0], [0, 1]]], dtype=complex), "finite"),
-        ],
-    )
-    def test_a_stack_rejects_bad_input(self, ms, message):
-        with pytest.raises(ValueError, match=message):
-            eig_complex_stack(ms)
-
-    def test_stack_rows_are_sorted_by_real_then_imaginary_part(self):
-        values = eig_complex_stack(np.diag([1j, -1j, 2.0, -1.0 + 0.5j])[None])[0]
-        assert values.tolist() == [[-1.0 + 0.5j, -1j, 1j, 2.0]]
-
 
 @st.composite
 def complex_symmetric_stacks(draw):
@@ -179,6 +167,77 @@ def complex_symmetric_stacks(draw):
         return diag - a
     units = np.exp(2j * np.pi * rng.integers(0, 12, size=(count, n)) / 12)
     return diag - units[:, :, None] * units[:, None, :] * a
+
+
+def hex_rows(values):
+    """Each value of a stack of eigenvalue rows as its float.hex pair."""
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in values.tolist()]
+
+
+def sorted_eigvals(ms):
+    """numpy's values-only eigenvalues of a stack, as complex matrices (zgeev,
+    not the real dgeev), each row sorted by (real, imag)."""
+    values = np.linalg.eigvals(np.asarray(ms, dtype=complex))
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    return np.take_along_axis(values, order, axis=-1)
+
+
+class TestEigvalsComplexStack:
+    """eig_complex_stack reports the values of a values-only solve bit for bit.
+
+    numpy's ``eigvals`` and ``eig`` both run LAPACK's zgeev.  For every
+    n < 75, and COMPLEX_CAP is 64, zgeev computes the eigenvalues with zlahqr,
+    and asking for eigenvectors only adds work outside zlahqr's active block:
+    the Schur update of the rows and columns beyond it and the accumulated
+    transformations.  The values are therefore the same bits, so reports
+    made from a values-only solve and from eig_complex_stack have the same
+    bytes.  A numpy or LAPACK upgrade that breaks this premise fails here
+    instead of silently moving output bytes.
+    """
+
+    @settings(max_examples=60)
+    @given(ms=complex_symmetric_stacks())
+    def test_matches_the_pair_solver_bit_for_bit(self, ms):
+        assert hex_rows(sorted_eigvals(ms)) == hex_rows(eig_complex_stack(ms)[0])
+
+    def test_matches_the_pair_solver_on_the_c7_sixth_power_stacks(self, monkeypatch):
+        stacks = []
+        solve = reduction.eig_complex_stack
+
+        def recording(ms):
+            stacks.append(ms)
+            return solve(ms)
+
+        monkeypatch.setattr(reduction, "eig_complex_stack", recording)
+        # rho_power solves its unpruned classes, and the spectrum one
+        # representative per chi class, each with eig_complex_stack
+        result = reduction.rho_power(cycle_graph(7), 6, "L")
+        assert sum(len(ms) for ms in stacks) == 127 and result.budget_used == 9831
+        report = reduction.spectrum_power(cycle_graph(7), 6, "L")
+        assert sum(len(ms) for ms in stacks) == 127 + 400 and report.budget_used == 9831
+        for ms in stacks:
+            assert hex_rows(sorted_eigvals(ms)) == hex_rows(eig_complex_stack(ms)[0])
+
+    def test_rows_are_sorted_by_real_then_imaginary_part(self):
+        values = eig_complex_stack(np.diag([1j, -1j, 2.0, -1.0 + 0.5j])[None])[0]
+        assert values.tolist() == [[-1.0 + 0.5j, -1j, 1j, 2.0]]
+
+    @pytest.mark.parametrize(
+        "ms, message",
+        [
+            (np.eye(3, dtype=complex), "square"),
+            (np.ones((1, 2, 3)), "square"),
+            (np.eye(COMPLEX_CAP + 1, dtype=complex)[None], "cap"),
+            (np.array([[[np.inf, 0], [0, 1]]], dtype=complex), "finite"),
+        ],
+    )
+    def test_rejects_what_the_pair_solver_rejects(self, monkeypatch, ms, message):
+        # the input checks run before LAPACK is handed the stack
+        solves = []
+        monkeypatch.setattr(np.linalg, "eig", solves.append)
+        with pytest.raises(ValueError, match=message):
+            eig_complex_stack(ms)
+        assert solves == []
 
 
 class TestResidualGate:
@@ -241,6 +300,122 @@ class TestResidualGate:
     )
     def test_defective_matrices_clear_it(self, m):
         assert eig_complex_stack(m[None])[2].max() < 1e-12
+
+
+# the CPU counts a solve is checked at: one, two and three, and the count of
+# this host
+CPU_COUNTS = (1, 2, 3, os.cpu_count() or 1)
+
+
+def count_thread_starts(mp: pytest.MonkeyPatch) -> list:
+    """Record every threading.Thread.start call from now on; returns the record."""
+    starts = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        starts.append(thread)
+        start(thread)
+
+    mp.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+def at_each_cpu_count(solve):
+    """``solve()`` with the process seeing each CPU count of CPU_COUNTS, and
+    the number of threads each call started."""
+    results = []
+    for cpus in CPU_COUNTS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "cpu_count", lambda: cpus)
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            starts = count_thread_starts(mp)
+            baseline = threading.active_count()
+            results.append((solve(), len(starts)))
+            assert threading.active_count() == baseline
+    return results
+
+
+def hex_stack(values):
+    """float.hex of every entry of a complex array, rows flattened."""
+    return hex_rows(values.reshape(len(values), -1))
+
+
+class TestSplitSolve:
+    """No solve is split over threads: each stack is one numpy call on the
+    calling thread, so the results are the same bits whatever number of
+    CPUs the process sees, and no solve starts a thread.
+    """
+
+    @settings(max_examples=12)
+    @given(ms=complex_symmetric_stacks())
+    def test_values_are_the_same_bits_at_any_cpu_count(self, ms):
+        runs = at_each_cpu_count(lambda: hex_rows(eig_complex_stack(ms)[0]))
+        assert [started for _, started in runs] == [0] * len(CPU_COUNTS)
+        assert all(values == runs[0][0] for values, _ in runs)
+
+    @settings(max_examples=12)
+    @given(ms=complex_symmetric_stacks())
+    def test_pairs_are_the_same_bits_at_any_cpu_count(self, ms):
+        runs = at_each_cpu_count(lambda: list(map(hex_stack, eig_complex_stack(ms))))
+        assert [started for _, started in runs] == [0] * len(CPU_COUNTS)
+        assert all(pairs == runs[0][0] for pairs, _ in runs)
+
+    def test_c7_sixth_power_spectrum_bytes_at_any_cpu_count(self, tmp_path):
+        graph = tmp_path / "c7.edges"
+        graph.write_text(format_edge_list(cycle_graph(7)))
+        out = tmp_path / "c7-k6.json"
+
+        def spectrum():
+            assert main(["spectrum", "--input", str(graph), "--k", "6", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        runs = at_each_cpu_count(spectrum)
+        assert [started for _, started in runs] == [0] * len(CPU_COUNTS)
+        assert all(data == runs[0][0] for data, _ in runs)
+
+    def test_a_failing_later_part_reaches_the_caller_unchanged(self, monkeypatch):
+        # row i carries i; LAPACK is made to fail on the last row
+        ms = np.zeros((3, 1, 1), dtype=complex)
+        ms[:, 0, 0] = np.arange(len(ms))
+        calls, raised = [], np.linalg.LinAlgError("row 2 did not converge")
+
+        def failing(stack):
+            calls.append(stack[:, 0, 0].real.tolist())
+            raise raised
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        starts = count_thread_starts(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError) as caught:
+            eig_complex_stack(ms)
+        # one call with the whole stack, and LAPACK's error as it was raised
+        assert calls == [[0.0, 1.0, 2.0]] and caught.value is raised
+        assert starts == []
+
+    def test_a_nonfinite_stack_is_rejected_before_any_thread_starts(self, monkeypatch):
+        ms = np.ones((16, 1, 1), dtype=complex)
+        ms[-1, 0, 0] = np.nan
+        solves = []
+        monkeypatch.setattr(np.linalg, "eig", solves.append)
+        starts = count_thread_starts(monkeypatch)
+        for solve, arg in ((eig_complex_stack, ms), (eig_complex_pairs, ms[-1])):
+            with pytest.raises(ValueError, match="finite"):
+                solve(arg)
+        assert solves == [] and starts == []
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: reduction.rho_power(cycle_graph(5), 8, "L"),
+            lambda: reduction.rho_power(complete_graph(4), 12, "L"),
+            lambda: reduction.h_spectrum_power(complete_graph(8), 4, "L"),
+        ],
+        ids=["rho C5 k=8", "rho K4 k=12", "h-spectrum K8 k=4"],
+    )
+    def test_pruned_and_symmetric_solves_start_no_thread(self, monkeypatch, run):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        starts = count_thread_starts(monkeypatch)
+        run()
+        assert starts == []
 
 
 class TestSpectralRadius:

@@ -1207,6 +1207,24 @@ class TestCertifiedWitnesses:
             spectrum_power(g, k, "laplacian")
         assert _named_matrix(info.value) == (subset, phases)
 
+    def test_a_last_bit_difference_is_still_certified(self, monkeypatch):
+        # a LAPACK build whose values differ from this one's in the last bit
+        # must not turn a reported value into a certificate failure
+        g, k = cycle_graph(5), 8
+        want = rho_power(g, k, "laplacian")
+        eig = np.linalg.eig
+        nudged = []
+
+        def nudging(ms):
+            values, vectors = eig(ms)
+            nudged.append(len(ms))
+            return np.nextafter(values.real, np.inf) + 1j * values.imag, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", nudging)
+        got = rho_power(g, k, "laplacian")
+        assert sum(nudged) > 0 and got.witness.subset == want.witness.subset
+        assert got.value == np.nextafter(want.value, np.inf)
+
     @pytest.mark.parametrize(
         "g, k", [(cycle_graph(5), 8), (complete_graph(4), 12)], ids=["C5-k8", "K4-k12"]
     )

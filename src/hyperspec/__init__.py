@@ -46,6 +46,7 @@ from hyperspec.reduction import (
     phase_classes,
     reduced_matrix,
     rho_power,
+    rho_powers,
     spectrum_power,
     uniform_phase_matrix,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "phase_classes",
     "reduced_matrix",
     "rho_power",
+    "rho_powers",
     "spectrum_power",
     "uniform_phase_matrix",
     "Gauge",

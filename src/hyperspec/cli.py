@@ -36,7 +36,7 @@ from hyperspec.reduction import (
     RhoResult,
     h_spectrum_power,
     lambda_max_laplacian,
-    rho_power,
+    rho_powers,
     spectrum_power,
     uniform_phase_matrix,
 )
@@ -200,14 +200,12 @@ def _rho_cases(
     if g.is_bipartite():
         raise ValueError("this check requires a non-bipartite graph")
     rho_q = float(eig_real_symmetric(g.signless_laplacian_matrix())[-1].value)
-    cases = []
-    for k in ks:
-        lam = lambda_max_laplacian(g, k)
-        rho = rho_power(
-            g, k, "laplacian", max_subset=args.max_subset, budget=args.budget
-        )
-        cases.append((k, lam, rho))
-    return rho_q, cases
+    # one enumeration and one set of Perron majorants serve every k, and
+    # every k is checked before them
+    rhos = rho_powers(g, ks, "laplacian", max_subset=args.max_subset, budget=args.budget)
+    # lambda_max(L) does not depend on k
+    lam = lambda_max_laplacian(g, ks[0])
+    return rho_q, [(k, lam, rho) for k, rho in zip(ks, rhos)]
 
 
 def _check_rho_equality(

@@ -160,7 +160,8 @@ def eig_complex_stack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
-    # divide each column by its largest-modulus entry, which becomes exactly 1
+    # divide each column by its largest-modulus entry, which becomes 1 to
+    # within an ulp: a complex quotient x / x can round to 1 - 2^-53
     rows = np.argmax(np.abs(vectors), axis=1)
     pivots = np.take_along_axis(vectors, rows[:, None, :], axis=1)
     if np.any(pivots == 0):

@@ -553,33 +553,70 @@ class TestJsonWriter:
 
 
 class TestVerifyCommand:
-    # stdout bytes of verify runs that call rho_power, recorded before its
-    # per-class pruning; pruning must not change them
+    # stdout bytes of verify runs that compute rho(L), recorded before its
+    # per-class pruning (K4, C3) and before one enumeration and one set of
+    # Perron majorants served every k (C5, K5); neither may change them.
+    # With --budget 500 on K5, k=4 is complete, k=6 and 8 are cut (exit 3),
+    # and k=8 reports rho_L = 6.999999999999999.
     @pytest.mark.parametrize(
-        "graph, check, ks, digest",
+        "graph, check, ks, extra, code, digest",
         [
             (
                 complete_graph(4),
                 "rho-equality",
                 "4,6,8,12",
+                [],
+                0,
                 "d2eac79179c398bef5c887763382f5f133be5e92bc0e99d1304cb49437648c68",
             ),
             (
                 cycle_graph(3),
                 "shrinking-gap",
                 "6,10,14",
+                [],
+                0,
                 "d307778cc34eea33efc7a9827d92edbe8374db394ad59a65e3dae09fdf4a2ce5",
             ),
+            (
+                cycle_graph(5),
+                "rho-equality",
+                "4,6,8",
+                [],
+                0,
+                "a89657ee658578375d8f125fa80ed448fe7f3debf0a424de6bb9c6f9bf2d2bc9",
+            ),
+            (
+                complete_graph(5),
+                "rho-equality",
+                "4,6,8",
+                [],
+                0,
+                "37dc1b0027c835518004e9bfcd6de3bc53e6d69cfd131f9618a12916235491cf",
+            ),
+            (
+                complete_graph(5),
+                "rho-equality",
+                "4,6,8",
+                ["--budget", "500"],
+                3,
+                "2f5e35c9e737e37af4270a22a5d81ce449248ae2b4c6e75fc576d46fd587f0e3",
+            ),
         ],
-        ids=["rho-equality-K4", "shrinking-gap-C3"],
+        ids=[
+            "rho-equality-K4",
+            "shrinking-gap-C3",
+            "rho-equality-C5",
+            "rho-equality-K5",
+            "rho-equality-K5-budget-500",
+        ],
     )
     def test_rho_checks_print_the_recorded_bytes(
-        self, tmp_path, capsys, graph, check, ks, digest
+        self, tmp_path, capsys, graph, check, ks, extra, code, digest
     ):
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(graph))
-        code = run_cli(["verify", "--check", check, "--input", str(path), "--k", ks])
-        assert code == 0
+        argv = ["verify", "--check", check, "--input", str(path), "--k", ks]
+        assert run_cli(argv + extra) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -609,9 +646,9 @@ class TestVerifyCommand:
         self, tmp_path, capsys, monkeypatch, tol
     ):
         def entered(*args, **kwargs):
-            raise AssertionError("rho_power was called")
+            raise AssertionError("rho_powers was called")
 
-        monkeypatch.setattr(cli, "rho_power", entered)
+        monkeypatch.setattr(cli, "rho_powers", entered)
         path = tmp_path / "k4.edges"
         path.write_text(format_edge_list(complete_graph(4)))
         argv = ["verify", "--check", "rho-equality", "--input", str(path), "--k", "4"]
@@ -622,6 +659,55 @@ class TestVerifyCommand:
         argv = ["verify", "--check", "rho-equality", "--input", triangle_file, "--k", "4"]
         assert run_cli(argv + ["--max-subset", "0"]) == 2
         assert "max_subset must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "k, extra, message",
+        [
+            ("4,6,8", ["--max-subset", "0"], "max_subset must be positive"),
+            ("4,6,8", ["--budget", "0"], "budget must be positive"),
+            ("4,6,8", ["--budget", "0", "--max-subset", "0"], "budget must be positive"),
+            ("4,6,2", [], "half blow-ups need an even k >= 4"),
+            ("4,6,2", ["--budget", "0"], "budget must be positive"),
+            ("2,6,8", ["--budget", "0"], "half blow-ups need an even k >= 4"),
+        ],
+    )
+    def test_bad_rho_inputs_are_rejected_before_the_shared_work(
+        self, triangle_file, capsys, monkeypatch, k, extra, message
+    ):
+        # the message is the one the first failing k gave when each k ran
+        # its own checks and enumeration in turn
+        def entered(*args, **kwargs):
+            raise AssertionError("the shared work was entered")
+
+        monkeypatch.setattr(reduction, "connected_subsets", entered)
+        monkeypatch.setattr(reduction, "_perron_bounds", entered)
+        argv = ["verify", "--check", "rho-equality", "--input", triangle_file, "--k", k]
+        assert run_cli(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_one_radius_check_does_its_k_free_work_once(self, tmp_path, monkeypatch):
+        calls = {"connected_subsets": 0, "_perron_bounds": 0, "eig_real_symmetric": 0}
+
+        def counting(name):
+            compute = getattr(reduction, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return compute(*args, **kwargs)
+
+            monkeypatch.setattr(reduction, name, counted)
+
+        for name in calls:
+            counting(name)
+        path = tmp_path / "k4.edges"
+        path.write_text(format_edge_list(complete_graph(4)))
+        argv = ["verify", "--check", "rho-equality", "--input", str(path), "--k", "4,6,8,12"]
+        assert run_cli(argv) == 0
+        # one enumeration, one set of Perron majorants, and one lambda_max(L)
+        # eigensolve for the four k
+        assert calls == {"connected_subsets": 1, "_perron_bounds": 1, "eig_real_symmetric": 1}
 
     # stdout of power-invariance on the irregular P4, recorded with NQZ started
     # at the lifted base Perron vectors

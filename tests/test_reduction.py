@@ -803,6 +803,40 @@ class TestPrunedAndStackedSolves:
         assert peak < 1.5 * 2**20
 
 
+class TestRhoPowers:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_one_call_gives_the_bytes_of_one_call_per_k(self, data):
+        g = data.draw(connected_graphs(5), label="graph")
+        ks = data.draw(
+            st.lists(st.sampled_from([4, 6, 8]), min_size=2, max_size=4).filter(
+                lambda ks: len(set(ks)) > 1
+            ),
+            label="ks",
+        )
+        kind = data.draw(st.sampled_from(["adjacency", "laplacian", "signless"]), label="kind")
+        max_subset = data.draw(st.integers(1, 5), label="max_subset")
+        # a budget from the smallest plan up to short of the largest cuts
+        # the larger k's plans and leaves the smallest whole
+        sizes = sorted(reduction._plan_work(g, k, max_subset, 10**6)[2] for k in ks)
+        budget = data.draw(st.integers(sizes[0], sizes[-1] - 1), label="budget")
+        options = {"max_subset": max_subset, "budget": budget}
+        got = reduction.rho_powers(g, ks, kind, **options)
+        want = [rho_power(g, k, kind, **options) for k in ks]
+        assert [_canonical(r.to_json_dict()) for r in got] == [
+            _canonical(r.to_json_dict()) for r in want
+        ]
+
+    def test_no_ks_give_no_results(self):
+        assert reduction.rho_powers(cycle_graph(3), []) == []
+
+    def test_no_subsets_have_no_majorants(self):
+        g = cycle_graph(3)
+        matrices = g.degree_vector(), g.adjacency_matrix()
+        bounds = reduction._perron_bounds(matrices, [], "laplacian")
+        assert bounds.shape == (0,)
+
+
 def _every_row(g, plan, k):
     """Every planned phase row, one block per planned subset: what the key
     pass would key without the orbit cuts."""
